@@ -2,8 +2,8 @@
 
 Subcommands: construct, weights, weil, verify, sweep, export.  Exit codes:
 0 success (including Match-only verification), 1 any verification mismatch,
-2 usage or parameter validation error.  Output is deterministic for a given
-flag set.
+2 usage, parameter validation or output-file error.  Output is deterministic
+for a given flag set.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weights", help="enumerate the exact weight distribution")
     common(sp)
-    sp.add_argument("--budget", type=int, default=None, help="enumeration work cap")
 
     sp = sub.add_parser("weil", help="evaluate S_h(a, b) directly and in closed form")
     common(sp, variant=False)
@@ -61,12 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--source", choices=list(predict.SOURCES), default=None,
                     help="force a table (default: the applicable one)")
-    sp.add_argument("--budget", type=int, default=None)
 
     sp = sub.add_parser("sweep", help="verify all variants over a parameter range")
     sp.add_argument("--m-min", type=int, default=3)
     sp.add_argument("--m-max", type=int, default=12)
-    sp.add_argument("--budget", type=int, default=None)
 
     sp = sub.add_parser("export", help="write the generator matrix as text")
     common(sp)
@@ -104,7 +101,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_weights(args) -> int:
     lc = _make_code(args)
-    dist = code_mod.weight_distribution(lc, args.budget)
+    dist = code_mod.weight_distribution(lc)
     _emit([("n", dist.n), ("k", dist.k), ("d", dist.d_min)], args.format)
     for w, c in sorted(dist.counts.items()):
         print(f"{w} {c}")
@@ -139,7 +136,7 @@ def _pick_source(args) -> str | None:
 
 def _cmd_verify(args) -> int:
     lc = _make_code(args)
-    dist = code_mod.weight_distribution(lc, args.budget)
+    dist = code_mod.weight_distribution(lc)
     source = _pick_source(args)
     if source is None:
         _emit([("status", predict.INAPPLICABLE),
@@ -164,7 +161,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.m_min < 2 or args.m_max < args.m_min:
         raise ValueError(f"bad range: m-min={args.m_min} m-max={args.m_max}")
-    reports = predict.sweep(range(args.m_min, args.m_max + 1), args.budget)
+    reports = predict.sweep(range(args.m_min, args.m_max + 1))
     sys.stdout.write(predict.format_sweep(reports))
     bad = [r for r in reports if not r.informational and r.status == predict.MISMATCH]
     return 1 if bad else 0
@@ -195,7 +192,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, predict.Inapplicable) as exc:
+    except (ValueError, OSError, predict.Inapplicable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

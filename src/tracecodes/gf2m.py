@@ -98,10 +98,12 @@ def smallest_irreducible(m: int) -> int:
 # GF(2) linear algebra on bit-packed vectors.
 # ---------------------------------------------------------------------------
 
-def gf2_rank(vecs) -> int:
-    """Rank over GF(2) of a collection of bit-packed vectors."""
+def gf2_rank(vecs, width: int) -> int:
+    """Rank over GF(2) of a collection of bit-packed vectors below 2^width.
+
+    The rank cannot exceed width, so the scan stops as soon as it gets there.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for v in vecs:
         v = int(v)
         while v:
@@ -110,9 +112,10 @@ def gf2_rank(vecs) -> int:
                 v ^= pivots[msb]
             else:
                 pivots[msb] = v
-                rank += 1
                 break
-    return rank
+        if len(pivots) == width:
+            break
+    return len(pivots)
 
 
 def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None:
@@ -462,3 +465,18 @@ def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
         return out
 
     return _cached(ctx, "dual", build)
+
+
+def wht(v: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z)."""
+    v = v.astype(np.int64, copy=True)
+    n = v.size
+    width = 1
+    while width < n:
+        v = v.reshape(-1, 2, width)
+        top = v[:, 0, :].copy()
+        v[:, 0, :] = top + v[:, 1, :]
+        v[:, 1, :] = top - v[:, 1, :]
+        v = v.reshape(n)
+        width <<= 1
+    return v

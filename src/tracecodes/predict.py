@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import code as code_mod
-from . import gf2m
+from . import gf2m, weil
 
 T1 = "T1"
 T2 = "T2"
@@ -96,10 +96,6 @@ def _validate_params(m: int, h: int) -> None:
         raise ValueError(f"h={h!r} must be a positive proper divisor of m={m}")
 
 
-def _eps(m: int, h: int) -> int:
-    return -1 if ((m // 2) // h) % 2 else 1
-
-
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -156,7 +152,7 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
     if mh % 2:
         raise Inapplicable(f"{source} needs m/h even; m={m}, h={h} gives m/h={mh}")
     e = m // 2
-    eps = _eps(m, h)
+    eps = weil.epsilon(m, h)
     den = (1 << h) + 1
 
     if source in (T3, T4):
@@ -327,9 +323,7 @@ def _inapplicable_report(m, h, variant, dist, reason) -> VerificationReport:
 
 
 def sweep(
-    ms: Iterable[int],
-    budget: int | None = None,
-    moduli: dict[int, int] | None = None,
+    ms: Iterable[int], moduli: dict[int, int] | None = None
 ) -> list[VerificationReport]:
     """Construct, enumerate and verify every variant for every (m, h).
 
@@ -358,7 +352,7 @@ def sweep(
             if mh % 2 == 0 and m > 2:
                 cases.append((code_mod.PUNCTURED_IMAGE, code_mod.punctured_code(ctx, h)))
             for variant, lc in cases:
-                dist = code_mod.weight_distribution(lc, budget)
+                dist = code_mod.weight_distribution(lc)
                 source = _applicable_source(variant, mh, m)
                 if source is None:
                     reports.append(

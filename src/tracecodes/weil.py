@@ -94,8 +94,8 @@ def is_power_2h_plus_1(ctx: gf2m.FieldCtx, h: int, a: int) -> bool:
     return int(ctx.log_table[a]) % d == 0
 
 
-def _epsilon(m: int, h: int) -> int:
-    # (-1)^(e/h) with e = m/2; only meaningful when m/h is even.
+def epsilon(m: int, h: int) -> int:
+    """(-1)^(e/h) with e = m/2; only meaningful when m/h is even."""
     return -1 if ((m // 2) // h) % 2 else 1
 
 
@@ -158,7 +158,7 @@ def _closed_odd(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> WeilSumValue:
 def _closed_even(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> WeilSumValue:
     m = ctx.m
     e = m // 2
-    eps = _epsilon(m, h)
+    eps = epsilon(m, h)
     apower = is_power_2h_plus_1(ctx, h, a)
     if b == 0:
         return WeilSumValue.exact(-eps << (e + h) if apower else eps << e)
@@ -210,7 +210,7 @@ def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
     powers = gf2m.power_table(ctx, (1 << h) + 1)
     t0 = int((ctx.trace_table[powers] == 0).sum())
     t1 = ctx.q - t0
-    eps = _epsilon(m, h)
+    eps = epsilon(m, h)
     expect_t0 = (1 << (m - 1)) - eps * (1 << (m // 2 + h - 1))
     if t0 != expect_t0:
         raise RuntimeError(
@@ -224,21 +224,6 @@ def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
 # Batch kernels: evaluate S_h(a, b) for a fixed a and every b at once.
 # These power the exhaustive oracle-equivalence sweeps.
 # ---------------------------------------------------------------------------
-
-def _wht(v: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z)."""
-    v = v.astype(np.int64, copy=True)
-    n = v.size
-    width = 1
-    while width < n:
-        v = v.reshape(-1, 2, width)
-        top = v[:, 0, :].copy()
-        v[:, 0, :] = top + v[:, 1, :]
-        v[:, 1, :] = top - v[:, 1, :]
-        v = v.reshape(n)
-        width <<= 1
-    return v
-
 
 def weil_sum_direct_all_b(ctx: gf2m.FieldCtx, h: int, a: int) -> np.ndarray:
     """Exact S_h(a, b) for every b, as int64[q].
@@ -254,7 +239,7 @@ def weil_sum_direct_all_b(ctx: gf2m.FieldCtx, h: int, a: int) -> np.ndarray:
     bins = gf2m.dual_coordinates(ctx)
     plus = np.bincount(bins[sx > 0], minlength=ctx.q)
     minus = np.bincount(bins[sx < 0], minlength=ctx.q)
-    return _wht(plus - minus)
+    return gf2m.wht(plus - minus)
 
 
 def weil_sum_closed_all_b(
@@ -283,7 +268,7 @@ def weil_sum_closed_all_b(
         return values, exact
 
     e = m // 2
-    eps = _epsilon(m, h)
+    eps = epsilon(m, h)
     apower = is_power_2h_plus_1(ctx, h, a)
 
     a2h = gf2m.pow(ctx, a, 1 << h)

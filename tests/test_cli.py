@@ -120,6 +120,29 @@ def test_export_to_file(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_export_to_missing_directory_exit_2(tmp_path, capsys):
+    rc = cli.run(["export", "--m", "5", "--h", "1", "--variant", "d0",
+                  "--out", str(tmp_path / "missing" / "g.txt")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "g.txt" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_weights_above_m16(capsys):
+    rc = cli.run(["weights", "--m", "17", "--h", "1", "--variant", "d0"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert {int(w): int(c) for w, c in (line.split() for line in out[1:])} == {
+        0: 1, 32640: 32896, 32768: 65535, 32896: 32640}
+
+
+def test_verify_above_m16(capsys):
+    rc = cli.run(["verify", "--m", "18", "--h", "3", "--variant", "d0"])
+    assert rc == 0
+    assert "status=match" in capsys.readouterr().out
+
+
 def test_sweep_deterministic_and_green(capsys):
     rc1 = cli.run(["sweep", "--m-min", "3", "--m-max", "5"])
     first = capsys.readouterr().out

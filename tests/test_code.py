@@ -215,11 +215,29 @@ def test_basis_independence_of_distributions():
             assert d1.counts == d2.counts, (m, kind)
 
 
-def test_budget_rejection_mentions_formula_path():
-    ctx = gf2m.build_field(8)
-    lc = code_mod.build_code(ctx, 2, code_mod.defining_set(ctx, code_mod.D0))
-    with pytest.raises(ValueError, match="codeword_weight_formula"):
-        code_mod.weight_distribution(lc, budget=100)
+def _largest_irreducible(m):
+    return next(p for p in range((2 << m) - 1, 1 << m, -1) if gf2m.is_irreducible(p))
+
+
+def test_walsh_route_equals_literal_column_count():
+    # the per-coordinate count sum_phi Tr(x*phi) is the oracle for the
+    # Walsh route, over every variant and h, under two moduli per degree
+    for m in range(3, 11):
+        for modulus in (None, _largest_irreducible(m)):
+            ctx = gf2m.build_field(m, modulus)
+            xs = np.arange(ctx.q, dtype=np.int64)
+            for h in [h for h in range(1, m) if m % h == 0]:
+                codes = [code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
+                         for kind in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR)]
+                if (m // h) % 2 == 0:
+                    codes.append(code_mod.punctured_code(ctx, h))
+                for lc in codes:
+                    literal = sum(
+                        ctx.trace_table[gf2m.mul_vec(ctx, p, xs)].astype(np.int64)
+                        for p in lc.phis
+                    )
+                    assert np.array_equal(code_mod._weights_by_message(lc), literal), (
+                        m, ctx.modulus, h, lc.defset.kind)
 
 
 def test_at_most_four_nonzero_weights():

@@ -272,8 +272,9 @@ def _span(vecs) -> set[int]:
 def test_gf2_rank_against_span_size():
     rng = random.Random(11)
     for _ in range(100):
-        vecs = [rng.randrange(0, 1 << 8) for _ in range(rng.randrange(0, 7))]
-        assert 1 << gf2m.gf2_rank(vecs) == len(_span(vecs))
+        width = rng.randrange(1, 9)
+        vecs = [rng.randrange(0, 1 << width) for _ in range(rng.randrange(0, 12))]
+        assert 1 << gf2m.gf2_rank(vecs, width) == len(_span(vecs))
 
 
 def test_gf2_solve_reproduces_solution_sets():
