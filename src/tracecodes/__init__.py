@@ -4,122 +4,9 @@ Builds the defining-set code families driven by the exponent 2^h + 1,
 computes exact weight distributions by enumeration, evaluates the
 underlying Weil sums both directly and in closed form, verifies the
 closed-form distribution tables, and tests secret-sharing suitability.
+
+The API lives in the submodules gf2m, weil, code and predict; import
+them directly, e.g. ``from tracecodes import code, gf2m``.
 """
 
-from .code import (
-    D0,
-    D1,
-    FULL_STAR,
-    PUNCTURED_IMAGE,
-    DefiningSet,
-    LinearCode,
-    WeightDistribution,
-    build_code,
-    codeword_weight_direct,
-    codeword_weight_formula,
-    defining_set,
-    generator_matrix,
-    punctured_code,
-    weight_distribution,
-    write_generator_matrix,
-)
-from .gf2m import (
-    FieldCtx,
-    build_field,
-    inv,
-    is_irreducible,
-    mul,
-    poly_str,
-    pow,
-    relative_trace,
-    smallest_irreducible,
-    solve_affine_linearized,
-    trace,
-)
-from .predict import (
-    C6,
-    INAPPLICABLE,
-    MATCH,
-    MISMATCH,
-    SOURCES,
-    T1,
-    T2,
-    T2C,
-    T3,
-    T4,
-    T5,
-    Inapplicable,
-    TheoremPrediction,
-    VerificationReport,
-    format_sweep,
-    pless_check,
-    predict_distribution,
-    secret_sharing_ratio,
-    sweep,
-    table2_as_printed,
-    verify,
-)
-from .weil import (
-    WeilSumValue,
-    is_power_2h_plus_1,
-    subfield_image_counts,
-    weil_sum_closed,
-    weil_sum_direct,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "D0",
-    "D1",
-    "FULL_STAR",
-    "PUNCTURED_IMAGE",
-    "C6",
-    "INAPPLICABLE",
-    "MATCH",
-    "MISMATCH",
-    "SOURCES",
-    "T1",
-    "T2",
-    "T2C",
-    "T3",
-    "T4",
-    "T5",
-    "DefiningSet",
-    "FieldCtx",
-    "Inapplicable",
-    "LinearCode",
-    "TheoremPrediction",
-    "VerificationReport",
-    "WeightDistribution",
-    "WeilSumValue",
-    "build_code",
-    "build_field",
-    "codeword_weight_direct",
-    "codeword_weight_formula",
-    "defining_set",
-    "format_sweep",
-    "generator_matrix",
-    "inv",
-    "is_irreducible",
-    "is_power_2h_plus_1",
-    "mul",
-    "pless_check",
-    "poly_str",
-    "pow",
-    "predict_distribution",
-    "punctured_code",
-    "relative_trace",
-    "secret_sharing_ratio",
-    "smallest_irreducible",
-    "solve_affine_linearized",
-    "subfield_image_counts",
-    "sweep",
-    "table2_as_printed",
-    "trace",
-    "verify",
-    "weight_distribution",
-    "weil_sum_closed",
-    "weil_sum_direct",
-    "write_generator_matrix",
-]

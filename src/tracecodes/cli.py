@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: construct, weights, weil, verify, sweep, export.  Exit codes:
-0 success (including Match-only verification), 1 any verification mismatch,
+0 success (including Match-only verification), 1 any verification mismatch
+or an internal disagreement between two routes (reported on an error: line),
 2 usage, parameter validation or output-file error.  Output is deterministic
 for a given flag set.
 """
@@ -195,6 +196,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, predict.Inapplicable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

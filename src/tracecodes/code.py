@@ -35,12 +35,15 @@ PUNCTURED_IMAGE = "punctured"
 KINDS = (D0, D1, FULL_STAR, PUNCTURED_IMAGE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """Coordinate index set, elements in ascending integer order."""
+    """Coordinate index set, elements (int64) in ascending integer order."""
 
     kind: str
-    elements: tuple[int, ...]
+    elements: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -72,7 +75,7 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
         els = np.unique(gf2m.power_table(ctx, (1 << h) + 1)[1:])
     else:
         raise ValueError(f"unknown defining-set kind {kind!r}; expected one of {KINDS}")
-    return DefiningSet(kind, tuple(int(x) for x in els))
+    return DefiningSet(kind, els)
 
 
 @dataclass(eq=False)
@@ -81,15 +84,15 @@ class LinearCode:
 
     h = 0 marks the identity column map (punctured codes); otherwise columns
     are phi(d) = d^(2^h+1) over the defining set.  phis holds the evaluated
-    column multipliers in defining-set order; k is the GF(2) rank of their
-    span, which equals the code dimension because the trace form is
+    column multipliers (int64) in defining-set order; k is the GF(2) rank of
+    their span, which equals the code dimension because the trace form is
     nondegenerate.
     """
 
     ctx: gf2m.FieldCtx
     h: int
     defset: DefiningSet
-    phis: tuple[int, ...]
+    phis: np.ndarray
     n: int
     k: int
 
@@ -115,16 +118,15 @@ class WeightDistribution:
 def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
     """Code with columns phi(d) = d^(2^h+1) over the given defining set."""
     gf2m._validate_subfield_degree(ctx, h)
-    if not defset.elements:
+    if len(defset) == 0:
         raise ValueError("defining set is empty")
-    els = np.asarray(defset.elements, dtype=np.int64)
     t = (1 << h) + 1
-    phis = ctx.antilog_table[(ctx.log_table[els] * t) % ctx.n_units]
+    phis = ctx.antilog_table[(ctx.log_table[defset.elements] * t) % ctx.n_units]
     return LinearCode(
         ctx=ctx,
         h=h,
         defset=defset,
-        phis=tuple(int(p) for p in phis),
+        phis=phis,
         n=len(defset),
         k=gf2m.gf2_rank(phis, ctx.m),
     )
@@ -184,7 +186,7 @@ def _weights_by_message(code: LinearCode) -> np.ndarray:
     the summation order differs from a per-coordinate count.
     """
     ctx = code.ctx
-    bins = gf2m.dual_coordinates(ctx)[np.asarray(code.phis, dtype=np.int64)]
+    bins = gf2m.dual_coordinates(ctx)[code.phis]
     return (code.n - gf2m.wht(np.bincount(bins, minlength=ctx.q))) // 2
 
 
@@ -200,37 +202,24 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
 def generator_matrix(code: LinearCode) -> np.ndarray:
     """k x n generator matrix (uint8), rows in reduced row-echelon form.
 
-    Rows start as the codewords of the message basis 1, x, ..., x^(m-1) and
-    are reduced over GF(2); zero rows are dropped, leaving rank-many rows.
+    Rows start as the codewords of the message basis 1, x, ..., x^(m-1),
+    packed into ints with coordinate 0 as the top bit, so that the reduced
+    basis read in descending lead order is the reduced row-echelon form.
     """
     ctx = code.ctx
-    lphi = ctx.log_table[np.asarray(code.phis, dtype=np.int64)]
+    lphi = ctx.log_table[code.phis]
     tr_alog = gf2m.trace_of_antilog(ctx)
     rows = np.empty((ctx.m, code.n), dtype=np.uint8)
     for i in range(ctx.m):
         rows[i] = tr_alog[int(ctx.log_table[1 << i]) + lphi]
-    reduced = _gf2_rref(rows)
-    if reduced.shape[0] != code.k:
+    nbytes = (code.n + 7) // 8
+    packed = np.packbits(rows, axis=1)
+    basis = gf2m.gf2_basis(int.from_bytes(r.tobytes(), "big") for r in packed)
+    if len(basis) != code.k:
         raise RuntimeError("generator rank disagrees with the span rank")
-    return reduced
-
-
-def _gf2_rref(rows: np.ndarray) -> np.ndarray:
-    a = rows.copy()
-    r = 0
-    for c in range(a.shape[1]):
-        piv = next((i for i in range(r, a.shape[0]) if a[i, c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        hits = a[:, c].astype(bool)
-        hits[r] = False
-        a[hits] ^= a[r]
-        r += 1
-        if r == a.shape[0]:
-            break
-    return a[:r]
+    rref = b"".join(basis[lead].to_bytes(nbytes, "big") for lead in sorted(basis, reverse=True))
+    reduced = np.frombuffer(rref, dtype=np.uint8).reshape(code.k, nbytes)
+    return np.unpackbits(reduced, axis=1, count=code.n)
 
 
 def write_generator_matrix(code: LinearCode, dest) -> None:

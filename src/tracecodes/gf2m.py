@@ -98,24 +98,38 @@ def smallest_irreducible(m: int) -> int:
 # GF(2) linear algebra on bit-packed vectors.
 # ---------------------------------------------------------------------------
 
-def gf2_rank(vecs, width: int) -> int:
-    """Rank over GF(2) of a collection of bit-packed vectors below 2^width.
+def gf2_basis(vecs, width: int | None = None) -> dict[int, int]:
+    """Fully reduced echelon basis over GF(2) of bit-packed vectors.
 
-    The rank cannot exceed width, so the scan stops as soon as it gets there.
+    Keys are lead bits (the highest set bit of each basis vector), and every
+    basis vector is zero at every other vector's lead bit.  The scan stops
+    once the basis has width vectors, the most that vectors below 2^width
+    can span.  This is the one GF(2) elimination of the package.
     """
-    pivots: dict[int, int] = {}
+    basis: dict[int, int] = {}
     for v in vecs:
         v = int(v)
-        while v:
-            msb = v.bit_length() - 1
-            if msb in pivots:
-                v ^= pivots[msb]
-            else:
-                pivots[msb] = v
-                break
-        if len(pivots) == width:
+        # Clearing lead bits alone decides membership; a vector in the span stops here.
+        while v and v.bit_length() - 1 in basis:
+            v ^= basis[v.bit_length() - 1]
+        if not v:
+            continue
+        for lead, b in basis.items():
+            if (v >> lead) & 1:
+                v ^= b
+        top = v.bit_length() - 1
+        for lead, b in basis.items():
+            if (b >> top) & 1:
+                basis[lead] = b ^ v
+        basis[top] = v
+        if len(basis) == width:
             break
-    return len(pivots)
+    return basis
+
+
+def gf2_rank(vecs, width: int) -> int:
+    """Rank over GF(2) of a collection of bit-packed vectors below 2^width."""
+    return len(gf2_basis(vecs, width))
 
 
 def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None:
@@ -123,42 +137,20 @@ def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None
 
     Bit i of cols[j] is M[i][j]; solutions are ints with bit j = x_j.
     Returns (particular_solution, kernel_basis) or None when inconsistent.
+
+    Column j is tagged with bit j below it, so every vector of the span
+    reads (M x) << m | x.  Reducing rhs << m leaves rhs + M x on top, which
+    is zero exactly when x solves the system; the basis vectors with zero
+    top part are the kernel.
     """
-    rows = []
-    for i in range(m):
-        r = 0
-        for j in range(m):
-            r |= ((cols[j] >> i) & 1) << j
-        rows.append((r, (rhs >> i) & 1))
-    used = [False] * m
-    pivots: list[tuple[int, int]] = []  # (column, row index)
-    for col in range(m):
-        piv = next(
-            (i for i in range(m) if not used[i] and (rows[i][0] >> col) & 1), None
-        )
-        if piv is None:
-            continue
-        used[piv] = True
-        pivots.append((col, piv))
-        pr, pb = rows[piv]
-        for i in range(m):
-            if i != piv and (rows[i][0] >> col) & 1:
-                rows[i] = (rows[i][0] ^ pr, rows[i][1] ^ pb)
-    if any(not used[i] and rows[i][1] for i in range(m)):
+    basis = gf2_basis((c << m) | 1 << j for j, c in enumerate(cols))
+    r = rhs << m
+    for lead, v in basis.items():
+        if lead >= m and (r >> lead) & 1:
+            r ^= v
+    if r >> m:
         return None
-    x0 = 0
-    for col, piv in pivots:
-        x0 |= rows[piv][1] << col
-    pivot_cols = {col for col, _ in pivots}
-    kernel = []
-    for free in range(m):
-        if free in pivot_cols:
-            continue
-        v = 1 << free
-        for col, piv in pivots:
-            v |= ((rows[piv][0] >> free) & 1) << col
-        kernel.append(v)
-    return x0, kernel
+    return r, [v for lead, v in basis.items() if lead < m]
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +339,15 @@ def relative_trace(ctx: FieldCtx, h: int, a: int) -> int:
     return r
 
 
-def solve_affine_linearized(ctx: FieldCtx, h: int, a: int, rhs: int) -> set[int]:
-    """All x with a^(2^h) * x^(2^(2h)) + a * x = rhs, a != 0.
+def solve_affine_linearized(
+    ctx: FieldCtx, h: int, a: int, rhs: int
+) -> tuple[int, list[int]] | None:
+    """Solve a^(2^h) * x^(2^(2h)) + a * x = rhs for x, with a != 0.
 
     The left side is GF(2)-linear in x, so the equation reduces to an
-    m x m linear system over GF(2) on the coordinate bits; the solution
-    set is either empty or a coset of the kernel (size a power of two).
+    m x m linear system over GF(2) on the coordinate bits.  Returns
+    gf2_solve's (x0, kernel): the solutions are x0 plus the span of the
+    kernel.  None means there is no solution.
     """
     _validate_subfield_degree(ctx, h)
     a = _check_element(ctx, a, "a")
@@ -362,23 +357,8 @@ def solve_affine_linearized(ctx: FieldCtx, h: int, a: int, rhs: int) -> set[int]
     m = ctx.m
     a2h = pow(ctx, a, 1 << h)
     t = 1 << ((2 * h) % m)  # x^(2^(2h)) = x^(2^(2h mod m))
-
-    def apply(x: int) -> int:
-        return mul(ctx, a2h, pow(ctx, x, t)) ^ mul(ctx, a, x)
-
-    cols = [apply(1 << j) for j in range(m)]
-    sol = gf2_solve(cols, rhs, m)
-    if sol is None:
-        return set()
-    x0, kernel = sol
-    out = set()
-    for mask in range(1 << len(kernel)):
-        v = x0
-        for j, kb in enumerate(kernel):
-            if (mask >> j) & 1:
-                v ^= kb
-        out.add(v)
-    return out
+    cols = [mul(ctx, a2h, pow(ctx, 1 << j, t)) ^ mul(ctx, a, 1 << j) for j in range(m)]
+    return gf2_solve(cols, rhs, m)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +435,15 @@ def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
     Writing b = sum b_i e_i in the polynomial basis gives
     trace(b*x) = parity(bits(b) & B[x]), which turns trace pairings into
     plain bit inner products for the Walsh transform kernels.
+
+    B is linear, so it is built from B[e_j] alone: the table for the first
+    j basis elements doubles to the table for j + 1 by XOR with B[e_j].
     """
     def build():
-        xs = np.arange(ctx.q, dtype=np.int64)
-        out = np.zeros(ctx.q, dtype=np.int64)
-        for i in range(ctx.m):
-            bits = ctx.trace_table[mul_vec(ctx, 1 << i, xs)].astype(np.int64)
-            out |= bits << i
+        out = np.zeros(1, dtype=np.int64)
+        for j in range(ctx.m):
+            bj = sum(trace(ctx, mul(ctx, 1 << i, 1 << j)) << i for i in range(ctx.m))
+            out = np.concatenate([out, out ^ bj])
         return out
 
     return _cached(ctx, "dual", build)

@@ -212,11 +212,6 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
     )
 
 
-def table2_as_printed(m: int, h: int) -> TheoremPrediction:
-    """The verbatim odd-regime trace-1 table; see the module docstring."""
-    return predict_distribution(m, h, T2)
-
-
 def pless_check(dist) -> bool:
     """First two power-moment identities for a distribution of full rank.
 
@@ -269,57 +264,38 @@ def verify(
     keys = sorted(set(expected) | set(dist.counts))
     details = [(w, expected.get(w, 0), dist.counts.get(w, 0)) for w in keys]
     status = MATCH if all(e == a for _, e, a in details) else MISMATCH
+    return _report(pred.m, pred.h, variant, dist, status, source=pred.source, details=details)
 
-    if dist.k == pred.m:
-        moment = "pass" if pless_check(dist) else "fail"
+
+def _report(m, h, variant, dist, status, **fields) -> VerificationReport:
+    """Report on an enumerated distribution: the power-moment check (skipped
+    and noted as a rank collapse when k < m), the secret-sharing ratio and
+    the nonzero counts.  fields sets the rest and may replace the note."""
+    if dist.k == m:
+        moment, note = ("pass" if pless_check(dist) else "fail"), ""
     else:
-        moment = f"skipped (rank {dist.k} < m={pred.m})"
-    note = "" if dist.k == pred.m else (
-        f"rank collapse: enumerated k={dist.k}, table assumes {pred.m}"
-    )
+        moment = f"skipped (rank {dist.k} < m={m})"
+        note = f"rank collapse: enumerated k={dist.k}, table assumes {m}"
     ratio, suitable = secret_sharing_ratio(dist)
+    fields.setdefault("note", note)
     return VerificationReport(
-        m=pred.m,
-        h=pred.h,
+        m=m,
+        h=h,
         variant=variant,
-        source=pred.source,
         status=status,
         n=dist.n,
         k=dist.k,
         d_min=dist.d_min,
         counts=dist.nonzero,
-        details=details,
         moment_check=moment,
         ss_ratio=ratio,
         ss_suitable=suitable,
-        note=note,
+        **fields,
     )
 
 
 def _proper_divisors(m: int) -> list[int]:
     return [h for h in range(1, m) if m % h == 0]
-
-
-def _inapplicable_report(m, h, variant, dist, reason) -> VerificationReport:
-    ratio, suitable = secret_sharing_ratio(dist)
-    moment = "pass" if pless_check(dist) else (
-        f"skipped (rank {dist.k} < m={m})" if dist.k < m else "fail"
-    )
-    return VerificationReport(
-        m=m,
-        h=h,
-        variant=variant,
-        source="",
-        status=INAPPLICABLE,
-        n=dist.n,
-        k=dist.k,
-        d_min=dist.d_min,
-        counts=dist.nonzero,
-        moment_check=moment,
-        ss_ratio=ratio,
-        ss_suitable=suitable,
-        note=reason,
-    )
 
 
 def sweep(
@@ -355,14 +331,15 @@ def sweep(
                 dist = code_mod.weight_distribution(lc)
                 source = _applicable_source(variant, mh, m)
                 if source is None:
-                    reports.append(
-                        _inapplicable_report(m, h, variant, dist, _gap_reason(variant, mh))
-                    )
+                    reports.append(_report(
+                        m, h, variant, dist, INAPPLICABLE, source="",
+                        note=_gap_reason(variant, mh),
+                    ))
                     continue
                 pred = predict_distribution(m, h, source)
                 reports.append(verify(pred, dist, variant))
                 if variant == code_mod.D1 and mh % 2:
-                    adj = verify(table2_as_printed(m, h), dist, variant)
+                    adj = verify(predict_distribution(m, h, T2), dist, variant)
                     adj.informational = True
                     adj.note = "as-printed adjudication; expected to fail"
                     reports.append(adj)
@@ -402,7 +379,7 @@ def format_sweep(reports: list[VerificationReport]) -> str:
     if adj:
         lines.append("# table2-as-printed adjudication (expected mismatches):")
         for r in adj:
-            pred = table2_as_printed(r.m, r.h)
+            pred = predict_distribution(r.m, r.h, T2)
             moment = "pass" if pless_check(pred) else "fail"
             expected = " ".join(f"{w}:{c}" for w, c in pred.counts.items())
             lines.append(

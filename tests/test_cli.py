@@ -5,7 +5,7 @@ from __future__ import annotations
 import subprocess
 import sys
 
-from tracecodes import cli
+from tracecodes import cli, weil
 
 
 def test_weights_text_output(capsys):
@@ -104,6 +104,16 @@ def test_weil_magnitude_only(capsys):
     assert "kind=magnitude-only" in out
     assert "closed=+/-4" in out
     assert "agree=1" in out
+
+
+def test_weil_disagreement_is_an_error_line(capsys, monkeypatch):
+    # S_1(8, 3) = 0 at m = 4; a wrong direct value must not escape as a traceback
+    monkeypatch.setattr(weil, "weil_sum_direct", lambda ctx, h, a, b=0: 4)
+    rc = cli.run(["weil", "--m", "4", "--h", "1", "--a", "8", "--b", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "agree=0" in captured.out
+    assert captured.err.startswith("error: ")
 
 
 def test_export_to_file(tmp_path, capsys):

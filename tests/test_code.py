@@ -43,8 +43,8 @@ def test_defining_set_sizes_and_membership():
 
 def test_defining_set_m2_is_degenerate_but_well_defined():
     ctx = gf2m.build_field(2)
-    assert code_mod.defining_set(ctx, code_mod.D0).elements == (1,)
-    assert code_mod.defining_set(ctx, code_mod.D1).elements == (2, 3)
+    assert list(code_mod.defining_set(ctx, code_mod.D0).elements) == [1]
+    assert list(code_mod.defining_set(ctx, code_mod.D1).elements) == [2, 3]
 
 
 def test_punctured_image_sizes():
@@ -278,15 +278,19 @@ def test_generator_matrix_row_space_is_the_code():
 
 def test_generator_matrix_is_reduced():
     ctx = gf2m.build_field(6)
-    lc = code_mod.build_code(ctx, 1, code_mod.defining_set(ctx, code_mod.D1))
-    g = code_mod.generator_matrix(lc)
-    pivots = [int(np.argmax(row)) for row in g]  # first 1 in each row
-    assert pivots == sorted(pivots)
-    for i, p in enumerate(pivots):
-        assert g[i, p] == 1
-        col = g[:, p].copy()
-        col[i] = 0
-        assert not col.any()
+    full_rank = code_mod.build_code(ctx, 1, code_mod.defining_set(ctx, code_mod.D1))
+    collapsed = code_mod.punctured_code(ctx, 3)  # m = 2h: k = 3 rows from 6 codewords
+    assert collapsed.k == 3
+    for lc in (full_rank, collapsed):
+        g = code_mod.generator_matrix(lc)
+        assert g.shape == (lc.k, lc.n)
+        pivots = [int(np.argmax(row)) for row in g]  # first 1 in each row
+        assert pivots == sorted(pivots)
+        for i, p in enumerate(pivots):
+            assert g[i, p] == 1
+            col = g[:, p].copy()
+            col[i] = 0
+            assert not col.any()
 
 
 def test_export_format_and_roundtrip(tmp_path):

@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tracecodes import gf2m
 
@@ -269,12 +271,18 @@ def _span(vecs) -> set[int]:
     return out
 
 
-def test_gf2_rank_against_span_size():
-    rng = random.Random(11)
-    for _ in range(100):
-        width = rng.randrange(1, 9)
-        vecs = [rng.randrange(0, 1 << width) for _ in range(rng.randrange(0, 12))]
-        assert 1 << gf2m.gf2_rank(vecs, width) == len(_span(vecs))
+@given(st.data())
+def test_gf2_rank_against_span_size(data):
+    width = data.draw(st.integers(1, 8))
+    vecs = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=11))
+    span = _span(vecs)
+    assert 1 << gf2m.gf2_rank(vecs, width) == len(span)
+    basis = gf2m.gf2_basis(vecs)
+    assert 1 << len(basis) == len(span)
+    assert _span(basis.values()) == span
+    for lead, v in basis.items():
+        assert v.bit_length() - 1 == lead
+        assert not any((v >> other) & 1 for other in basis if other != lead)
 
 
 def test_gf2_solve_reproduces_solution_sets():
@@ -301,6 +309,13 @@ def test_gf2_solve_reproduces_solution_sets():
         assert got == brute
 
 
+def _solutions(sol) -> set[int]:
+    if sol is None:
+        return set()
+    x0, kernel = sol
+    return {x0 ^ v for v in _span(kernel)}
+
+
 def test_solve_affine_linearized_exhaustive():
     """Solver output equals brute-force substitution, and kernel sizes
     follow the two regimes: 2^h roots when m/h is odd, and for even m/h
@@ -319,7 +334,7 @@ def test_solve_affine_linearized_exhaustive():
                 def apply(x: int) -> int:
                     return gf2m.mul(ctx, a2h, gf2m.pow(ctx, x, texp)) ^ gf2m.mul(ctx, a, x)
 
-                roots = gf2m.solve_affine_linearized(ctx, h, a, 0)
+                roots = _solutions(gf2m.solve_affine_linearized(ctx, h, a, 0))
                 assert roots == {x for x in range(ctx.q) if apply(x) == 0}
                 if (m // h) % 2:
                     assert len(roots) == 1 << h
@@ -328,7 +343,7 @@ def test_solve_affine_linearized_exhaustive():
                 else:
                     assert roots == {0}
                 rhs = (a * 7 + h) % ctx.q  # arbitrary deterministic right side
-                sols = gf2m.solve_affine_linearized(ctx, h, a, rhs)
+                sols = _solutions(gf2m.solve_affine_linearized(ctx, h, a, rhs))
                 assert sols == {x for x in range(ctx.q) if apply(x) == rhs}
 
 

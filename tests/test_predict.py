@@ -38,7 +38,7 @@ def test_three_weight_tables_at_m3():
     assert predict.predict_distribution(3, 1, predict.T1).counts == {1: 3, 2: 3, 3: 1}
     assert predict.predict_distribution(3, 1, predict.T2C).counts == {1: 1, 2: 3, 3: 3}
     # the as-printed variant degenerates to non-integer multiplicities here
-    printed = predict.table2_as_printed(3, 1)
+    printed = predict.predict_distribution(3, 1, predict.T2)
     assert printed.counts == {1: Fraction(3, 2), 2: 3, 3: Fraction(5, 2)}
 
 
@@ -116,7 +116,7 @@ def test_predictions_satisfy_power_moments_except_printed_variant():
 
 
 def test_printed_variant_second_moment_numbers():
-    printed = predict.table2_as_printed(5, 1)
+    printed = predict.predict_distribution(5, 1, predict.T2)
     assert sum(printed.counts.values()) == 31  # first moment still holds
     weighted = sum(w * c for w, c in printed.counts.items())
     assert weighted == 252
@@ -138,7 +138,7 @@ def test_verify_match_and_mismatch():
     good = predict.verify(predict.predict_distribution(5, 1, predict.T2C), dist, "d1")
     assert good.status == predict.MATCH
     assert good.moment_check == "pass"
-    bad = predict.verify(predict.table2_as_printed(5, 1), dist, "d1")
+    bad = predict.verify(predict.predict_distribution(5, 1, predict.T2), dist, "d1")
     assert bad.status == predict.MISMATCH
     diffs = {w for w, e, a in bad.details if e != a}
     assert diffs == {6, 10}
