@@ -83,7 +83,7 @@ def irreducibility_witness(p: int) -> tuple[int, int] | None:
 
 
 def is_irreducible(p: int) -> bool:
-    return poly_degree(p) >= 1 and irreducibility_witness(p) is None
+    return p > 1 and irreducibility_witness(p) is None  # a negative int encodes no polynomial
 
 
 def smallest_irreducible(m: int) -> int:
@@ -237,6 +237,8 @@ def build_field(m: int, modulus: int | None = None) -> FieldCtx:
         modulus = smallest_irreducible(m)
     else:
         modulus = int(modulus)
+        if modulus < 0:
+            raise ValueError(f"modulus {modulus} is negative; it must encode a polynomial")
         if poly_degree(modulus) != m:
             raise ValueError(
                 f"modulus {poly_str(modulus)} has degree {poly_degree(modulus)}, expected {m}"
@@ -354,11 +356,19 @@ def solve_affine_linearized(
     rhs = _check_element(ctx, rhs, "rhs")
     if a == 0:
         raise ValueError("a must be nonzero")
-    m = ctx.m
-    a2h = pow(ctx, a, 1 << h)
-    t = 1 << ((2 * h) % m)  # x^(2^(2h)) = x^(2^(2h mod m))
-    cols = [mul(ctx, a2h, pow(ctx, 1 << j, t)) ^ mul(ctx, a, 1 << j) for j in range(m)]
-    return gf2_solve(cols, rhs, m)
+    return gf2_solve(linearized_columns(ctx, h, a), rhs, ctx.m)
+
+
+def basis_images(ctx: FieldCtx, c: int, k: int) -> np.ndarray:
+    """c * e_j^(2^k) for every polynomial basis element e_j = x^j, j < m; c != 0."""
+    logs = ctx.log_table[1 << np.arange(ctx.m, dtype=np.int64)]
+    return ctx.antilog_table[(int(ctx.log_table[c]) + (logs << k)) % ctx.n_units]
+
+
+def linearized_columns(ctx: FieldCtx, h: int, a: int) -> np.ndarray:
+    """L(e_j) for j < m, where L(x) = a^(2^h) * x^(2^(2h)) + a * x is the
+    GF(2)-linear left side of solve_affine_linearized."""
+    return basis_images(ctx, pow(ctx, a, 1 << h), 2 * h) ^ basis_images(ctx, a, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +423,17 @@ def mul_vec(ctx: FieldCtx, c: int, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def relative_trace_table(ctx: FieldCtx, h: int) -> np.ndarray:
-    """relative_trace(ctx, h, x) for every x, as an int64 array."""
-    _validate_subfield_degree(ctx, h)
+def linear_table(images) -> np.ndarray:
+    """f(x) for every x, as int64[2^m], for the GF(2)-linear map f with
+    f(e_j) = images[j].
 
-    def build():
-        xs = np.arange(ctx.q, dtype=np.int64)
-        cur = xs.copy()
-        rt = xs.copy()
-        for _ in range(ctx.m // h - 1):
-            cur[1:] = ctx.antilog_table[(ctx.log_table[cur[1:]] << h) % ctx.n_units]
-            rt ^= cur
-        return rt
-
-    return _cached(ctx, ("reltrace", h), build)
+    The table for the first j basis elements doubles to the table for
+    j + 1 by XOR with f(e_j), in O(2^m).
+    """
+    out = np.zeros(1 << len(images), dtype=np.int64)
+    for j, image in enumerate(images):
+        np.bitwise_xor(out[:1 << j], image, out=out[1 << j:2 << j])
+    return out
 
 
 def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
@@ -436,15 +443,13 @@ def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
     trace(b*x) = parity(bits(b) & B[x]), which turns trace pairings into
     plain bit inner products for the Walsh transform kernels.
 
-    B is linear, so it is built from B[e_j] alone: the table for the first
-    j basis elements doubles to the table for j + 1 by XOR with B[e_j].
+    B is linear, so linear_table builds it from B[e_j] alone.
     """
     def build():
-        out = np.zeros(1, dtype=np.int64)
-        for j in range(ctx.m):
-            bj = sum(trace(ctx, mul(ctx, 1 << i, 1 << j)) << i for i in range(ctx.m))
-            out = np.concatenate([out, out ^ bj])
-        return out
+        m = ctx.m
+        return linear_table(
+            [sum(trace(ctx, mul(ctx, 1 << i, 1 << j)) << i for i in range(m)) for j in range(m)]
+        )
 
     return _cached(ctx, "dual", build)
 

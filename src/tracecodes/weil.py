@@ -3,26 +3,31 @@
 Two independent evaluation routes are kept side by side on purpose:
 
 * weil_sum_direct literally sums the character over the field;
-* weil_sum_closed dispatches on the parity of m/h and evaluates the known
-  closed forms.
+* weil_sum_closed evaluates the known closed form, in O(m^2) bit operations.
 
-When m/h is odd and the sum is nonzero, the closed form pins down only the
-magnitude 2^((m+h)/2); the sign is not determined by the general theory.
-That case is returned as a MagnitudeOnly value and callers needing the sign
-(e.g. the per-codeword weight formula) fall back to direct summation.
-Signs are never guessed.
+Both regimes of the closed form are one computation.  With q = 2^h, the
+inputs are first normalised to (a', b') and a constant t in {0, 1}; then
+completing the square turns the sum into a character value at a solution
+x0 of the affine equation
 
-For the even case m = 2e the value depends on whether a is a (2^h+1)-th
-power: the affine equation a^(2^h) x^(2^(2h)) + a x = b^(2^h) is either
-uniquely solvable (permutation branch) or solvable for a fraction of the
-right-hand sides, and completing the square gives
+    a'^q * x^(q^2) + a' * x = (b' + t)^q,
 
-    S_h(a, b) = chi(a*x0^(2^h+1)) * S_h(a, 0)
+namely S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0), and S_h(a, b) = 0 when
+the equation has no solution.  The character factor is the same at every
+solution, so any x0 serves, and b = 0 needs no case of its own.
 
-at any solution x0 (the cross term Tr(b*x0) cancels identically), with
-S_h(a, b) = 0 when there is no solution.  One published statement of the
-power branch splits it further on Tr_h(a); that split contradicts direct
-evaluation already at m=4, h=1, a=g^3 and is not reproduced here.
+* m/h even (m = 2e, eps = (-1)^(e/h)): (a', b') = (a, b) and t = 0.  The
+  scale is eps*2^e when a is not a (q+1)-th power (the left side is then a
+  permutation, so a solution always exists) and -eps*2^(e+h) when it is.
+  One published statement of the power branch splits it further on
+  Tr_h(a); that split contradicts direct evaluation already at m=4, h=1,
+  a=g^3 and is not reproduced here.
+* m/h odd: x -> x^(q+1) is a bijection, so a = c^(q+1) for one c, and the
+  substitution x -> x/c gives S_h(a, b) = S_h(1, b/c).  So (a', b') =
+  (1, b/c), t = 1 and the scale is (2 | m/h)^h * 2^((m+h)/2), where
+  (2 | m/h) is the Jacobi symbol (R. S. Coulter, "On the evaluation of a
+  class of Weil sums in characteristic 2", New Zealand J. Math., 1999).
+  The equation is solvable exactly when Tr_h(b/c) = 1.
 """
 
 from __future__ import annotations
@@ -34,37 +39,14 @@ import numpy as np
 
 from . import gf2m
 
-EXACT = "exact"
-MAGNITUDE_ONLY = "magnitude-only"
-
 
 @dataclass(frozen=True)
 class WeilSumValue:
-    """Either an exact signed value or a magnitude with undetermined sign."""
+    """A closed-form value.  Every value is exact and signed, so is_exact is
+    always True; the wrapper stays for callers that still read it."""
 
-    kind: str
     value: int
-
-    @classmethod
-    def exact(cls, v: int) -> "WeilSumValue":
-        return cls(EXACT, int(v))
-
-    @classmethod
-    def magnitude_only(cls, mag: int) -> "WeilSumValue":
-        if mag < 0:
-            raise ValueError("magnitude must be non-negative")
-        return cls(MAGNITUDE_ONLY, int(mag))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == EXACT
-
-    @property
-    def magnitude(self) -> int:
-        return abs(self.value)
-
-    def __str__(self) -> str:
-        return str(self.value) if self.is_exact else f"+/-{self.value}"
+    is_exact = True
 
 
 def _validate_query(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> tuple[int, int]:
@@ -99,62 +81,52 @@ def epsilon(m: int, h: int) -> int:
     return -1 if ((m // 2) // h) % 2 else 1
 
 
-def _chi(ctx: gf2m.FieldCtx, x: int) -> int:
-    return 1 - 2 * gf2m.trace(ctx, x)
+def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple[int, int, int, int, bool]:
+    """(a', u, t, scale, unique): the normalisation of the module docstring.
+
+    b' = u*b, so S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0) at any solution
+    x0 of a'^q x^(q^2) + a' x = (u*b + t)^q, and 0 when there is none.
+    unique marks the permutation branch, where every right-hand side is
+    solvable.
+    """
+    m = ctx.m
+    if (m // h) % 2:
+        n = ctx.n_units
+        s = pow((1 << h) + 1, -1, n)  # gcd(2^h+1, 2^m-1) = 1 in this regime
+        u = int(ctx.antilog_table[(-s * int(ctx.log_table[a])) % n])  # 1/c
+        jacobi = -1 if h % 2 and (m // h) % 8 in (3, 5) else 1  # (2 | m/h)^h
+        return 1, u, 1, jacobi << ((m + h) // 2), False
+    e = m // 2
+    eps = epsilon(m, h)
+    if is_power_2h_plus_1(ctx, h, a):
+        return a, 1, 0, -eps << (e + h), False
+    return a, 1, 0, eps << e, True
 
 
 def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumValue:
-    """Closed-form S_h(a, b); O(m^2) bit operations instead of O(2^m).
+    """Closed-form S_h(a, b), signed in both regimes; see the module docstring.
 
-    Odd m/h:  S_h(a, 0) = 0.  For b != 0 write a = c^(2^h+1) (the power map
-    is a bijection); then S_h(a, b) = 0 when Tr_h(b/c) != 1 and otherwise
-    has magnitude 2^((m+h)/2) with sign undetermined (MagnitudeOnly).
-
-    Even m/h (m = 2e, eps = (-1)^(e/h)):  for b = 0 the value is eps*2^e
-    when a is not a (2^h+1)-th power and -eps*2^(e+h) when it is.  For
-    b != 0 solve a^(2^h) x^(2^(2h)) + a x = b^(2^h): no solution gives 0;
-    otherwise the value is chi(a*x0^(2^h+1)) times the b = 0 value, i.e.
-    times eps*2^e in the permutation branch and -eps*2^(e+h) in the power
-    branch.
+    m/h odd: 0 when Tr_h(b/c) != 1 (in particular at b = 0), otherwise
+    (2 | m/h)^h * chi(x0^(2^h+1) + x0) * 2^((m+h)/2) with x0 a solution of
+    x^(2^(2h)) + x = (b/c + 1)^(2^h) (Coulter 1999).  m/h even: 0 when
+    a^(2^h) x^(2^(2h)) + a x = b^(2^h) has no solution, otherwise
+    chi(a*x0^(2^h+1)) times eps*2^e (permutation branch) or -eps*2^(e+h)
+    (power branch).
     """
     a, b = _validate_query(ctx, h, a, b)
-    if (ctx.m // h) % 2 == 1:
-        return _closed_odd(ctx, h, a, b)
-    return _closed_even(ctx, h, a, b)
-
-
-def _closed_odd(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> WeilSumValue:
-    if b == 0:
-        return WeilSumValue.exact(0)
-    n = ctx.n_units
-    s = pow((1 << h) + 1, -1, n)  # gcd(2^h+1, 2^m-1) = 1 in this regime
-    c = int(ctx.antilog_table[(s * int(ctx.log_table[a])) % n])
-    arg = gf2m.mul(ctx, b, gf2m.inv(ctx, c))
-    if gf2m.relative_trace(ctx, h, arg) != 1:
-        return WeilSumValue.exact(0)
-    return WeilSumValue.magnitude_only(1 << ((ctx.m + h) // 2))
-
-
-def _closed_even(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> WeilSumValue:
-    m = ctx.m
-    e = m // 2
-    eps = epsilon(m, h)
-    apower = is_power_2h_plus_1(ctx, h, a)
-    if b == 0:
-        return WeilSumValue.exact(-eps << (e + h) if apower else eps << e)
-
-    # The character factor is constant on the solution coset, so any
-    # solution x0 serves.
-    sol = gf2m.solve_affine_linearized(ctx, h, a, gf2m.pow(ctx, b, 1 << h))
+    a1, u, t, scale, unique = _regime(ctx, h, a)
+    q = 1 << h
+    sol = gf2m.solve_affine_linearized(ctx, h, a1, gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, q))
     if sol is None:
-        if not apower:
+        if unique:
             raise RuntimeError(
-                f"permutation branch unsolvable for m={m} h={h} a={a} b={b}; "
+                f"permutation branch unsolvable for m={ctx.m} h={h} a={a} b={b}; "
                 "this indicates a table-construction bug"
             )
-        return WeilSumValue.exact(0)
-    chi = _chi(ctx, gf2m.mul(ctx, a, gf2m.pow(ctx, sol[0], (1 << h) + 1)))
-    return WeilSumValue.exact(-eps * chi << (e + h) if apower else eps * chi << e)
+        return WeilSumValue(0)
+    x0 = sol[0]
+    arg = gf2m.mul(ctx, a1, gf2m.pow(ctx, x0, q + 1)) ^ (x0 if t else 0)
+    return WeilSumValue(scale * (1 - 2 * gf2m.trace(ctx, arg)))
 
 
 def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
@@ -207,47 +179,28 @@ def weil_sum_closed_all_b(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form values for every b: (values int64[q], exact bool[q]).
 
-    Where exact[b] is False the entry holds the predicted magnitude.
+    The same closed form as weil_sum_closed, for all b at once: one preimage
+    table of the linear map, one character table, one gather.  Every entry
+    is exact and signed, so exact is all True.
     """
     a, _ = _validate_query(ctx, h, a, 0)
-    m = ctx.m
-    q = ctx.q
-    n = ctx.n_units
-    values = np.zeros(q, dtype=np.int64)
-    exact = np.ones(q, dtype=bool)
-    xs = np.arange(q, dtype=np.int64)
-
-    if (m // h) % 2 == 1:
-        s = pow((1 << h) + 1, -1, n)
-        c = int(ctx.antilog_table[(s * int(ctx.log_table[a])) % n])
-        args = gf2m.mul_vec(ctx, gf2m.inv(ctx, c), xs)
-        hit = gf2m.relative_trace_table(ctx, h)[args] == 1
-        hit[0] = False
-        values[hit] = 1 << ((m + h) // 2)
-        exact[hit] = False
-        return values, exact
-
-    e = m // 2
-    eps = epsilon(m, h)
-    apower = is_power_2h_plus_1(ctx, h, a)
-
-    a2h = gf2m.pow(ctx, a, 1 << h)
-    frob2h = gf2m.power_table(ctx, 1 << ((2 * h) % m))
-    lvals = gf2m.mul_vec(ctx, a2h, frob2h) ^ gf2m.mul_vec(ctx, a, xs)
-    preimage = np.full(q, -1, dtype=np.int64)
-    preimage[lvals] = xs
-
-    chi = 1 - 2 * ctx.trace_table[
-        gf2m.mul_vec(ctx, a, gf2m.power_table(ctx, (1 << h) + 1))
-    ].astype(np.int64)
-    rhs = gf2m.power_table(ctx, 1 << h)  # b^(2^h) for every b
-    x0 = preimage[rhs]
-
-    if not apower:
-        if int((x0 < 0).sum()):
-            raise RuntimeError("permutation branch left unsolvable right-hand sides")
-        values = (eps << e) * chi[x0]
-    else:
-        solvable = x0 >= 0
-        values = np.where(solvable, (-eps << (e + h)) * chi[np.clip(x0, 0, None)], 0)
-    return values, exact
+    a1, u, t, scale, unique = _regime(ctx, h, a)
+    q = 1 << h
+    preimage = np.full(ctx.q, -1, dtype=np.int32)
+    lvals = gf2m.linear_table(gf2m.linearized_columns(ctx, h, a1))
+    preimage[lvals] = np.arange(ctx.q, dtype=np.int32)
+    # (u*b + t)^q = u^q * b^q + t, GF(2)-linear in b up to the constant t
+    rhs = gf2m.linear_table(gf2m.basis_images(ctx, gf2m.pow(ctx, u, q), h))
+    x0 = preimage[rhs ^ t]
+    unsolvable = x0 < 0
+    if unique and unsolvable.any():
+        raise RuntimeError("permutation branch left unsolvable right-hand sides")
+    # character bit of a1*x^(q+1) + t*x for every x, with log(x^(q+1)) = (q+1)*log(x)
+    logs = int(ctx.log_table[a1]) + (ctx.log_table * (q + 1)) % ctx.n_units
+    bits = gf2m.trace_of_antilog(ctx)[logs]
+    bits[0] = 0
+    if t:
+        bits ^= ctx.trace_table
+    values = np.where(bits[x0], -scale, scale)
+    values[unsolvable] = 0
+    return values, np.ones(ctx.q, dtype=bool)

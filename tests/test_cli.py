@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
 
-from tracecodes import cli, weil
+from tracecodes import cli, gf2m, predict, weil
+from tracecodes import code as code_mod
 
 
 def test_weights_text_output(capsys):
@@ -93,16 +96,15 @@ def test_weil_exact_agreement(capsys):
     rc = cli.run(["weil", "--m", "4", "--h", "1", "--a", "8", "--b", "3"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "kind=exact" in out and "agree=1" in out
+    assert "agree=1" in out and "kind=" not in out
 
 
-def test_weil_magnitude_only(capsys):
+def test_weil_odd_regime_signed(capsys):
     rc = cli.run(["weil", "--m", "3", "--h", "1", "--a", "1", "--b", "1",
                   "--format", "machine"])
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "kind=magnitude-only" in out
-    assert "closed=+/-4" in out
+    assert "closed=-4" in out
     assert "agree=1" in out
 
 
@@ -177,3 +179,45 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n=8 k=4 d=2"
+
+
+def _largest_irreducible(m):
+    return next(p for p in range((2 << m) - 1, 1 << m, -1) if gf2m.is_irreducible(p))
+
+
+def _argument_grid():
+    variants = (code_mod.D0, code_mod.D1, code_mod.FULL_STAR, code_mod.PUNCTURED_IMAGE)
+    for m in range(2, 7):
+        q = 1 << m
+        for h in range(0, m + 1):
+            base = ["--m", str(m), "--h", str(h)]
+            for v in variants:
+                for cmd in ("construct", "weights", "verify", "export"):
+                    yield [cmd, *base, "--variant", v]
+                for src in predict.SOURCES:
+                    yield ["verify", *base, "--variant", v, "--source", src]
+            for a in (-1, 0, 1, q - 1, q):
+                for b in (-1, 0, 1, q - 1, q):
+                    yield ["weil", *base, "--a", str(a), "--b", str(b)]
+        # another irreducible modulus, then reducible, wrong-degree and negative ones
+        for mod in (_largest_irreducible(m), 0, 1, -1, -(q | 3), q, 3 * q, (1 << 70) | 1):
+            for cmd in (["construct", "--variant", "d0"], ["weights", "--variant", "d1"],
+                        ["verify", "--variant", "full"], ["export", "--variant", "punctured"],
+                        ["weil", "--a", "1", "--b", "1"]):
+                yield [cmd[0], "--m", str(m), "--h", "1", *cmd[1:], "--modulus", str(mod)]
+    for lo, hi in ((2, 4), (6, 3), (1, 4), (0, 0), (-1, 2), (21, 22), (3, 2)):
+        yield ["sweep", "--m-min", str(lo), "--m-max", str(hi)]
+
+
+def test_no_argument_list_escapes_as_an_exception():
+    # every subcommand over small fields with edge values: each run ends in
+    # an exit code, and exit 2 always comes with an error: line
+    codes = set()
+    for argv in _argument_grid():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(argv)
+        assert rc in (0, 1, 2), argv
+        assert rc != 2 or err.getvalue().startswith("error: "), argv
+        codes.add(rc)
+    assert codes == {0, 1, 2}

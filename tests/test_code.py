@@ -8,12 +8,15 @@ the batch enumeration, formula vs enumeration, two moduli per degree).
 from __future__ import annotations
 
 import io
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecodes import code as code_mod
-from tracecodes import gf2m
+from tracecodes import gf2m, weil
 
 
 def _dist(ctx, h, kind):
@@ -238,6 +241,36 @@ def test_walsh_route_equals_literal_column_count():
                     )
                     assert np.array_equal(code_mod._weights_by_message(lc), literal), (
                         m, ctx.modulus, h, lc.defset.kind)
+
+
+@st.composite
+def _random_basis_query(draw):
+    """(modulus, h, a, t, b): a random irreducible modulus of degree m <= 12,
+    a proper divisor h, a != 0, a trace-set choice t and a message b != 0."""
+    m = draw(st.integers(2, 12))
+    start = draw(st.integers(1 << m, (2 << m) - 1))
+    modulus = next(p for p in chain(range(start, 2 << m), range(1 << m, start))
+                   if gf2m.is_irreducible(p))
+    h = draw(st.sampled_from([h for h in range(1, m) if m % h == 0]))
+    a = draw(st.integers(1, (1 << m) - 1))
+    b = draw(st.integers(1, (1 << m) - 1))
+    return modulus, h, a, draw(st.sampled_from((0, 1))), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_basis_query())
+def test_three_routes_agree_in_a_random_basis(query):
+    modulus, h, a, t, b = query
+    assert gf2m.is_irreducible(modulus)
+    ctx = gf2m.build_field(gf2m.poly_degree(modulus), modulus)
+    # closed form against direct summation, every b at once
+    values, _ = weil.weil_sum_closed_all_b(ctx, h, a)
+    assert np.array_equal(values, weil.weil_sum_direct_all_b(ctx, h, a))
+    # per-codeword formula against the Walsh route and the literal column count
+    lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, (code_mod.D0, code_mod.D1)[t]))
+    walsh = int(code_mod._weights_by_message(lc)[b])
+    literal = int(ctx.trace_table[gf2m.mul_vec(ctx, b, lc.phis)].sum())
+    assert code_mod.codeword_weight_formula(ctx, h, t, b) == walsh == literal
 
 
 def test_at_most_four_nonzero_weights():

@@ -85,27 +85,24 @@ def test_odd_regime_vanishes_at_b_zero():
 
 
 def test_odd_regime_magnitude_branch():
-    # m=3, h=1, a=1: zero exactly when the trace of b is not 1
+    # m=3, h=1, a=1: the signed closed value equals direct summation, and it
+    # is zero exactly where the relative trace of b/c is not 1 (here c = 1)
     ctx = gf2m.build_field(3)
     for b in range(ctx.q):
         got = weil.weil_sum_closed(ctx, 1, 1, b)
-        direct = weil.weil_sum_direct(ctx, 1, 1, b)
-        if gf2m.trace(ctx, b) != 1:
-            assert got.is_exact and got.value == 0 and direct == 0
-        else:
-            assert not got.is_exact
-            assert got.value == 4  # 2^((3+1)/2)
-            assert direct != 0 and abs(direct) == 4
-    assert str(weil.WeilSumValue.magnitude_only(4)) == "+/-4"
-
-
-def test_magnitude_only_occurs_only_in_odd_regime():
-    for m, h in ((4, 1), (4, 2), (6, 1), (6, 3), (8, 2)):
-        ctx = gf2m.build_field(m)
-        if (m // h) % 2 == 0:
-            for a in (1, 2, 7):
-                for b in (0, 1, 5):
-                    assert weil.weil_sum_closed(ctx, h, a, b).is_exact
+        assert got.value == weil.weil_sum_direct(ctx, 1, 1, b)
+        assert (got.value == 0) == (gf2m.relative_trace(ctx, 1, b) != 1)
+    # a spread of a at m = 9, with c the unique (2^h+1)-th root of a
+    ctx = gf2m.build_field(9)
+    for h in (1, 3):
+        cubes = {gf2m.pow(ctx, c, (1 << h) + 1): c for c in range(1, ctx.q)}
+        for a in range(1, ctx.q, 37):
+            cinv = gf2m.inv(ctx, cubes[a])
+            for b in range(0, ctx.q, 11):
+                got = weil.weil_sum_closed(ctx, h, a, b).value
+                assert got == weil.weil_sum_direct(ctx, h, a, b), (h, a, b)
+                beta = gf2m.mul(ctx, b, cinv)
+                assert (got == 0) == (gf2m.relative_trace(ctx, h, beta) != 1), (h, a, b)
 
 
 def test_closed_equals_direct_exhaustive_small_m():
@@ -117,19 +114,14 @@ def test_closed_equals_direct_exhaustive_small_m():
             for a in range(1, ctx.q):
                 d = weil.weil_sum_direct_all_b(ctx, h, a)
                 v, ex = weil.weil_sum_closed_all_b(ctx, h, a)
-                ok = np.where(ex, d == v, (np.abs(d) == v) & (d != 0))
-                assert ok.all(), (m, h, a)
+                assert ex.all() and np.array_equal(v, d), (m, h, a)
             rng = np.random.default_rng(m * 10 + h)
             for a in rng.integers(1, ctx.q, size=3):
-                v, ex = weil.weil_sum_closed_all_b(ctx, h, int(a))
+                v, _ = weil.weil_sum_closed_all_b(ctx, h, int(a))
                 for b in rng.integers(0, ctx.q, size=5):
                     s = weil.weil_sum_closed(ctx, h, int(a), int(b))
-                    assert s.value == int(v[b]) and s.is_exact == bool(ex[b])
-                    direct = weil.weil_sum_direct(ctx, h, int(a), int(b))
-                    if s.is_exact:
-                        assert s.value == direct
-                    else:
-                        assert direct != 0 and abs(direct) == s.value
+                    assert s.is_exact and s.value == int(v[b])
+                    assert s.value == weil.weil_sum_direct(ctx, h, int(a), int(b))
 
 
 def test_batch_direct_matches_scalar_direct():
@@ -210,5 +202,3 @@ def test_query_validation():
         weil.weil_sum_closed(ctx, 4, 1, 0)
     with pytest.raises(ValueError):
         weil.weil_sum_closed(ctx, 1, 64, 0)
-    with pytest.raises(ValueError):
-        weil.WeilSumValue.magnitude_only(-2)
