@@ -163,16 +163,15 @@ def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:
     """Weight of the codeword of message b in the trace-a code, via Weil sums.
 
     wt = 2^(m-2) - (S_h(b, 0) + (-1)^a * S_h(b, 1)) / 4, with both sums taken
-    from the signed closed form, so the weight costs O(m^2) bit operations
-    at every m.
+    from the signed closed form with one shared elimination, so the weight
+    costs O(m^2) bit operations at every m.
     """
     if a not in (0, 1):
         raise ValueError("a selects the trace-0 or trace-1 defining set; use 0 or 1")
     b = gf2m._check_element(ctx, b, "b")
     if b == 0:
         raise ValueError("b = 0 is the zero codeword; its weight is 0 by definition")
-    v0 = weil.weil_sum_closed(ctx, h, b, 0).value
-    v1 = weil.weil_sum_closed(ctx, h, b, 1).value
+    v0, v1 = weil.weil_sum_closed_many(ctx, h, b, (0, 1))
     num = v0 + (v1 if a == 0 else -v1)
     if num % 4:
         raise RuntimeError(f"character-sum combination {num} is not divisible by 4")

@@ -8,7 +8,9 @@ is used for polynomials over GF(2), e.g. x^3 + x + 1 <-> 0b1011 = 11.
 A FieldCtx bundles the irreducible modulus, the smallest primitive element,
 and the log/antilog/trace tables that every downstream enumeration leans on.
 Tables are numpy arrays so batch kernels can index them directly; the scalar
-operations below cast back to int.
+operations below cast back to int.  They are built from GF(2)-linear maps
+(multiplication by a constant, the trace) tabulated by linear_table, so a
+field costs O(2^m) array work and about 2^(m/2) Python steps.
 """
 
 from __future__ import annotations
@@ -132,25 +134,35 @@ def gf2_rank(vecs, width: int) -> int:
     return len(gf2_basis(vecs, width))
 
 
-def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None:
-    """Solve M x = rhs over GF(2) with M given column-wise.
+def gf2_solver(cols: list[int], m: int):
+    """Eliminate M once; return solve(rhs) for M x = rhs over GF(2).
 
     Bit i of cols[j] is M[i][j]; solutions are ints with bit j = x_j.
-    Returns (particular_solution, kernel_basis) or None when inconsistent.
+    solve returns (particular_solution, kernel_basis) or None when
+    inconsistent, for any number of right-hand sides.
 
     Column j is tagged with bit j below it, so every vector of the span
     reads (M x) << m | x.  Reducing rhs << m leaves rhs + M x on top, which
     is zero exactly when x solves the system; the basis vectors with zero
     top part are the kernel.
     """
-    basis = gf2_basis((c << m) | 1 << j for j, c in enumerate(cols))
-    r = rhs << m
-    for lead, v in basis.items():
-        if lead >= m and (r >> lead) & 1:
-            r ^= v
-    if r >> m:
-        return None
-    return r, [v for lead, v in basis.items() if lead < m]
+    basis = gf2_basis((int(c) << m) | 1 << j for j, c in enumerate(cols))
+
+    def solve(rhs: int) -> tuple[int, list[int]] | None:
+        r = rhs << m
+        for lead, v in basis.items():
+            if lead >= m and (r >> lead) & 1:
+                r ^= v
+        if r >> m:
+            return None
+        return r, [v for lead, v in basis.items() if lead < m]
+
+    return solve
+
+
+def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None:
+    """Solve M x = rhs over GF(2) for one right-hand side; see gf2_solver."""
+    return gf2_solver(cols, m)(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +242,13 @@ def build_field(m: int, modulus: int | None = None) -> FieldCtx:
     With no modulus, the smallest irreducible polynomial of degree m (by
     integer encoding) is used.  The generator is the smallest element of
     multiplicative order 2^m - 1.
+
+    The antilog table is filled as a 2^(m/2)-wide grid: the first row by
+    scalar products, every later row by one gather from the table of
+    multiplication by g^(2^(m/2)); the log table is one scatter of it, and
+    the trace table is linear_table of the traces of the basis elements.
+    The build asserts that g^(2^m-1) = 1, that every unit gets a log and
+    that the trace is balanced.
     """
     if not isinstance(m, int) or not MIN_DEGREE <= m <= MAX_DEGREE:
         raise ValueError(f"m must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}], got {m!r}")
@@ -258,26 +277,26 @@ def build_field(m: int, modulus: int | None = None) -> FieldCtx:
         if all(_raw_pow(a, n_units // p, modulus, m) != 1 for p in primes)
     )
 
-    antilog = [0] * n_units
-    log = [-1] * q
+    # Row r, column i holds g^(r*step + i): row 0 by scalar products, each later
+    # row by one gather from the table of y -> g^step * y, which is linear.
+    step = 1 << (m // 2)
+    powers = np.empty((n_units // step + 1, step), dtype=np.int64)
     v = 1
-    for i in range(n_units):
-        antilog[i] = v
-        log[v] = i
+    for i in range(step):
+        powers[0, i] = v
         v = _raw_mul(v, generator, modulus, m)
-    if v != 1:
+    times_g_step = linear_table([_raw_mul(v, 1 << j, modulus, m) for j in range(m)])
+    for r in range(1, len(powers)):
+        powers[r] = times_g_step[powers[r - 1]]
+    alog_np = powers.reshape(-1)[:n_units]
+    log_np = np.full(q, -1, dtype=np.int64)
+    log_np[alog_np] = np.arange(n_units, dtype=np.int64)
+    if powers.flat[n_units] != 1 or (log_np[1:] < 0).any():
         raise AssertionError("generator order check failed")
 
-    log_np = np.array(log, dtype=np.int64)
-    alog_np = np.array(antilog, dtype=np.int64)
-
-    # Absolute trace of every element via m-1 vectorized squarings.
-    xs = np.arange(q, dtype=np.int64)
-    cur = xs.copy()
-    tr = xs.copy()
-    for _ in range(m - 1):
-        cur[1:] = alog_np[(2 * log_np[cur[1:]]) % n_units]
-        tr ^= cur
+    # The trace is linear too: Tr(e_j) is the XOR of the squares e_j^(2^i), i < m.
+    logs = log_np[1 << np.arange(m)][:, None] << np.arange(m)
+    tr = linear_table(np.bitwise_xor.reduce(alog_np[logs % n_units], axis=1))
     if not np.all((tr == 0) | (tr == 1)) or int((tr == 0).sum()) != q // 2:
         raise AssertionError("trace table failed its balance check")
 

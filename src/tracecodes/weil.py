@@ -113,20 +113,35 @@ def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumVa
     chi(a*x0^(2^h+1)) times eps*2^e (permutation branch) or -eps*2^(e+h)
     (power branch).
     """
-    a, b = _validate_query(ctx, h, a, b)
+    return WeilSumValue(weil_sum_closed_many(ctx, h, a, [b])[0])
+
+
+def weil_sum_closed_many(ctx: gf2m.FieldCtx, h: int, a: int, bs) -> list[int]:
+    """Closed-form S_h(a, b) for each b in bs, as weil_sum_closed computes it.
+
+    The linear map of the affine equation depends on a alone, so its one
+    elimination serves every b.
+    """
+    a, _ = _validate_query(ctx, h, a, 0)
+    bs = [gf2m._check_element(ctx, b, "b") for b in bs]
     a1, u, t, scale, unique = _regime(ctx, h, a)
     q = 1 << h
-    sol = gf2m.solve_affine_linearized(ctx, h, a1, gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, q))
-    if sol is None:
-        if unique:
-            raise RuntimeError(
-                f"permutation branch unsolvable for m={ctx.m} h={h} a={a} b={b}; "
-                "this indicates a table-construction bug"
-            )
-        return WeilSumValue(0)
-    x0 = sol[0]
-    arg = gf2m.mul(ctx, a1, gf2m.pow(ctx, x0, q + 1)) ^ (x0 if t else 0)
-    return WeilSumValue(scale * (1 - 2 * gf2m.trace(ctx, arg)))
+    solve = gf2m.gf2_solver(gf2m.linearized_columns(ctx, h, a1), ctx.m)
+    values = []
+    for b in bs:
+        sol = solve(gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, q))
+        if sol is None:
+            if unique:
+                raise RuntimeError(
+                    f"permutation branch unsolvable for m={ctx.m} h={h} a={a} b={b}; "
+                    "this indicates a table-construction bug"
+                )
+            values.append(0)
+            continue
+        x0 = sol[0]
+        arg = gf2m.mul(ctx, a1, gf2m.pow(ctx, x0, q + 1)) ^ (x0 if t else 0)
+        values.append(scale * (1 - 2 * gf2m.trace(ctx, arg)))
+    return values
 
 
 def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:

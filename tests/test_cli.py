@@ -155,6 +155,20 @@ def test_verify_above_m16(capsys):
     assert "status=match" in capsys.readouterr().out
 
 
+def test_verify_m20_trace0_table(capsys):
+    rc = cli.run(["verify", "--m", "20", "--h", "4", "--variant", "d0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("source=T1 status=match")
+
+
+def test_verify_m20_punctured_table(capsys):
+    rc = cli.run(["verify", "--m", "20", "--h", "5", "--variant", "punctured"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("source=C6 status=match")
+
+
 def test_sweep_deterministic_and_green(capsys):
     rc1 = cli.run(["sweep", "--m-min", "3", "--m-max", "5"])
     first = capsys.readouterr().out

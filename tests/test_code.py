@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecodes import code as code_mod
-from tracecodes import gf2m, weil
+from tracecodes import gf2m, predict, weil
 
 
 def _dist(ctx, h, kind):
@@ -244,13 +244,21 @@ def test_walsh_route_equals_literal_column_count():
 
 
 @st.composite
+def _irreducible_modulus(draw, max_degree: int) -> int:
+    """The first irreducible polynomial of a random degree m <= max_degree at or
+    after a random start, wrapping around within degree m."""
+    m = draw(st.integers(2, max_degree))
+    start = draw(st.integers(1 << m, (2 << m) - 1))
+    return next(p for p in chain(range(start, 2 << m), range(1 << m, start))
+                if gf2m.is_irreducible(p))
+
+
+@st.composite
 def _random_basis_query(draw):
     """(modulus, h, a, t, b): a random irreducible modulus of degree m <= 12,
     a proper divisor h, a != 0, a trace-set choice t and a message b != 0."""
-    m = draw(st.integers(2, 12))
-    start = draw(st.integers(1 << m, (2 << m) - 1))
-    modulus = next(p for p in chain(range(start, 2 << m), range(1 << m, start))
-                   if gf2m.is_irreducible(p))
+    modulus = draw(_irreducible_modulus(12))
+    m = gf2m.poly_degree(modulus)
     h = draw(st.sampled_from([h for h in range(1, m) if m % h == 0]))
     a = draw(st.integers(1, (1 << m) - 1))
     b = draw(st.integers(1, (1 << m) - 1))
@@ -280,6 +288,43 @@ def test_at_most_four_nonzero_weights():
             for kind in (code_mod.D0, code_mod.D1):
                 _, dist = _dist(ctx, h, kind)
                 assert len(dist.nonzero) <= 4, (m, h, kind)
+
+
+@st.composite
+def _random_code(draw):
+    """(modulus, h, kind): a random irreducible modulus of degree m <= 10, a
+    proper divisor h and a variant defined for (m, h)."""
+    modulus = draw(_irreducible_modulus(10))
+    m = gf2m.poly_degree(modulus)
+    h = draw(st.sampled_from([h for h in range(1, m) if m % h == 0]))
+    kinds = [code_mod.D0, code_mod.D1, code_mod.FULL_STAR]
+    if (m // h) % 2 == 0 and m > 2:
+        kinds.append(code_mod.PUNCTURED_IMAGE)
+    return modulus, h, draw(st.sampled_from(kinds))
+
+
+def _enumerate(ctx, h, kind):
+    if kind == code_mod.PUNCTURED_IMAGE:
+        return code_mod.weight_distribution(code_mod.punctured_code(ctx, h))
+    return _dist(ctx, h, kind)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_code())
+def test_distribution_properties_in_a_random_basis(query):
+    modulus, h, kind = query
+    m = gf2m.poly_degree(modulus)
+    dist = _enumerate(gf2m.build_field(m, modulus), h, kind)
+    # the weights are a property of the field, not of its polynomial basis
+    base = _enumerate(gf2m.build_field(m), h, kind)
+    assert (dist.counts, dist.n, dist.k) == (base.counts, base.n, base.k)
+    if dist.k == m:
+        assert predict.pless_check(dist)
+    if kind in (code_mod.FULL_STAR, code_mod.PUNCTURED_IMAGE):
+        bound = 2
+    else:
+        bound = 3 if (m // h) % 2 else 4
+    assert len(dist.nonzero) <= bound, (m, h, kind, dist.nonzero)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Field-layer tests.
 
 The polynomial helpers are checked against a naive coefficient-list oracle,
-the table-driven arithmetic against table-free reference operations, and the
-linearized-equation solver against exhaustive substitution.  Expected values
+the table-driven arithmetic against table-free reference operations, the
+log, antilog and trace tables against a literal one-power-at-a-time chase, and
+the linearized-equation solver against exhaustive substitution.  Expected values
 that appear as literals were derived by hand or by the oracles here.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecodes import gf2m
@@ -173,7 +175,108 @@ def test_mul_matches_tablefree_reference():
         ctx = gf2m.build_field(m)
         for a in range(ctx.q):
             for b in range(ctx.q):
-                assert gf2m.mul(ctx, a, b) == gf2m._raw_mul(a, b, ctx.modulus, m)
+                assert gf2m.mul(ctx, a, b) == _raw_mul(a, b, ctx.modulus, m)
+
+
+# ---------------------------------------------------------------------------
+# Literal oracle for the field tables: one power of the generator at a time,
+# each a table-free shift-and-add product, and the trace by m - 1 squarings.
+# ---------------------------------------------------------------------------
+
+def _raw_mul(a: int, b: int, modulus: int, m: int) -> int:
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= modulus
+    return r
+
+
+def _raw_pow(a: int, k: int, modulus: int, m: int) -> int:
+    r = 1
+    for bit in bin(k)[2:]:
+        r = _raw_mul(r, r, modulus, m)
+        if bit == "1":
+            r = _raw_mul(r, a, modulus, m)
+    return r
+
+
+def _scalar_trace(x: int, modulus: int, m: int) -> int:
+    t = x
+    for _ in range(m - 1):
+        x = _raw_mul(x, x, modulus, m)
+        t ^= x
+    return t
+
+
+def _chased_tables(m: int, modulus: int, generator: int):
+    """(log, antilog, trace) filled one power of the generator at a time."""
+    q = 1 << m
+    antilog = [0] * (q - 1)
+    log = [-1] * q
+    v = 1
+    for i in range(q - 1):
+        antilog[i] = v
+        log[v] = i
+        v = _raw_mul(v, generator, modulus, m)
+    assert v == 1 and -1 not in log[1:]
+    log_np = np.array(log, dtype=np.int64)
+    alog_np = np.array(antilog, dtype=np.int64)
+    # m - 1 squarings of every element at once, each through the chased tables
+    cur = np.arange(q, dtype=np.int64)
+    tr = cur.copy()
+    for _ in range(m - 1):
+        cur[1:] = alog_np[(2 * log_np[cur[1:]]) % (q - 1)]
+        tr ^= cur
+    return log_np, alog_np, tr.astype(np.uint8)
+
+
+def _assert_tables_match_oracle(ctx) -> None:
+    for name, want in zip(("log_table", "antilog_table", "trace_table"),
+                          _chased_tables(ctx.m, ctx.modulus, ctx.generator)):
+        got = getattr(ctx, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (ctx, name)
+
+
+def _largest_irreducible(m: int) -> int:
+    return next(p for p in range((2 << m) - 1, 1 << m, -1) if gf2m.is_irreducible(p))
+
+
+def test_field_tables_equal_the_chased_tables():
+    for m in range(2, 17):
+        for modulus in (gf2m.smallest_irreducible(m), _largest_irreducible(m)):
+            _assert_tables_match_oracle(gf2m.build_field(m, modulus))
+
+
+@st.composite
+def _irreducible_modulus(draw, max_degree: int) -> int:
+    m = draw(st.integers(2, max_degree))
+    start = draw(st.integers(1 << m, (2 << m) - 1))
+    return next(p for p in chain(range(start, 2 << m), range(1 << m, start))
+                if gf2m.is_irreducible(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_irreducible_modulus(14))
+def test_field_tables_equal_the_chased_tables_random_modulus(modulus):
+    _assert_tables_match_oracle(gf2m.build_field(gf2m.poly_degree(modulus), modulus))
+
+
+def test_field_tables_spot_checked_at_m20():
+    rng = random.Random(20)
+    for modulus in (gf2m.smallest_irreducible(20), _largest_irreducible(20)):
+        ctx = gf2m.build_field(20, modulus)
+        assert ctx.log_table.dtype == ctx.antilog_table.dtype == np.int64
+        assert ctx.trace_table.dtype == np.uint8
+        assert ctx.antilog_table.shape == (ctx.n_units,) and ctx.log_table[0] == -1
+        for i in rng.sample(range(ctx.n_units), 300):
+            x = _raw_pow(ctx.generator, i, modulus, 20)
+            assert ctx.antilog_table[i] == x and ctx.log_table[x] == i
+        for x in rng.sample(range(ctx.q), 300):
+            assert ctx.trace_table[x] == _scalar_trace(x, modulus, 20)
 
 
 def _mul_table(ctx) -> np.ndarray:
