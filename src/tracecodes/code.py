@@ -12,6 +12,12 @@ When m = 2h the power map lands inside the subfield GF(2^h) and the rank
 genuinely drops to h; the enumeration does not mask that, it reports k and
 the inflated zero-weight count as they are.
 
+The rank k is taken over the distinct nonzero columns, read off one
+presence mask over the field in log order g^0, g^1, ...; the same mask
+gives the punctured defining set.  Successive powers of g spread over the
+bits, so the scan stops within a few columns once the rank reaches m, and
+a collapsed code of rank k has at most 2^k - 1 distinct columns to scan.
+
 Enumeration takes one route for every code, the Walsh route: the columns
 are binned by their dual coordinates and one Walsh-Hadamard transform of
 the bin counts gives the weight of every message at once, in O(n + m*2^m)
@@ -21,7 +27,6 @@ operations, so every m the field module admits is enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +78,18 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
                 f"punctured image needs m/h even; for m={ctx.m}, h={h} the map "
                 f"x -> x^(2^{h}+1) is a bijection (gcd(2^{h}+1, 2^{ctx.m}-1) = 1)"
             )
-        els = np.unique(gf2m.power_table(ctx, (1 << h) + 1)[1:])
+        els = np.sort(_distinct_nonzero(ctx, gf2m.power_table(ctx, (1 << h) + 1)[1:]))
     else:
         raise ValueError(f"unknown defining-set kind {kind!r}; expected one of {KINDS}")
     return DefiningSet(kind, els)
+
+
+def _distinct_nonzero(ctx: gf2m.FieldCtx, values: np.ndarray) -> np.ndarray:
+    """The distinct nonzero values among field elements, in log order g^0, g^1, ...,
+    marked in one bool[q] presence mask, O(q)."""
+    present = np.zeros(ctx.q, dtype=bool)
+    present[values] = True
+    return ctx.antilog_table[present[ctx.antilog_table]]
 
 
 @dataclass(eq=False)
@@ -87,7 +100,8 @@ class LinearCode:
     are phi(d) = d^(2^h+1) over the defining set.  phis holds the evaluated
     column multipliers (int64) in defining-set order; k is the GF(2) rank of
     their span, which equals the code dimension because the trace form is
-    nondegenerate.
+    nondegenerate.  k is computed over the distinct nonzero columns in log
+    order (_distinct_nonzero), which spans the same space as phis.
     """
 
     ctx: gf2m.FieldCtx
@@ -121,6 +135,11 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
     gf2m._validate_subfield_degree(ctx, h)
     if len(defset) == 0:
         raise ValueError("defining set is empty")
+    bad = defset.elements[(defset.elements < 1) | (defset.elements >= ctx.q)]
+    if bad.size:
+        raise ValueError(
+            f"defining-set element {int(bad[0])} is not a nonzero element of GF(2^{ctx.m})"
+        )
     t = (1 << h) + 1
     phis = ctx.antilog_table[(ctx.log_table[defset.elements] * t) % ctx.n_units]
     return LinearCode(
@@ -129,7 +148,7 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
         defset=defset,
         phis=phis,
         n=len(defset),
-        k=gf2m.gf2_rank(phis, ctx.m),
+        k=gf2m.gf2_rank(_distinct_nonzero(ctx, phis), ctx.m),
     )
 
 
@@ -145,18 +164,8 @@ def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
         defset=ds,
         phis=ds.elements,
         n=len(ds),
-        # The elements are sorted, so a prefix shares its high bits and spans
-        # little; a strided pass first reaches rank m within a few dozen
-        # columns, and the full pass after it keeps the rank exact.
-        k=gf2m.gf2_rank(chain(ds.elements[::64], ds.elements), ctx.m),
+        k=gf2m.gf2_rank(_distinct_nonzero(ctx, ds.elements), ctx.m),
     )
-
-
-def codeword_weight_direct(code: LinearCode, x: int) -> int:
-    """Hamming weight of the codeword of message x, one trace per coordinate."""
-    ctx = code.ctx
-    x = gf2m._check_element(ctx, x, "x")
-    return sum(gf2m.trace(ctx, gf2m.mul(ctx, x, p)) for p in code.phis)
 
 
 def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:
@@ -195,7 +204,8 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact message-indexed weight counts by full enumeration."""
     w = _weights_by_message(code)
     counts = np.bincount(w)
-    table = {int(i): int(c) for i, c in enumerate(counts) if c}
+    ws = np.flatnonzero(counts)
+    table = dict(zip(ws.tolist(), counts[ws].tolist()))
     d_min = min((x for x in table if x > 0), default=0)
     return WeightDistribution(counts=table, n=code.n, k=code.k, d_min=d_min)
 

@@ -360,24 +360,6 @@ def relative_trace(ctx: FieldCtx, h: int, a: int) -> int:
     return r
 
 
-def solve_affine_linearized(
-    ctx: FieldCtx, h: int, a: int, rhs: int
-) -> tuple[int, list[int]] | None:
-    """Solve a^(2^h) * x^(2^(2h)) + a * x = rhs for x, with a != 0.
-
-    The left side is GF(2)-linear in x, so the equation reduces to an
-    m x m linear system over GF(2) on the coordinate bits.  Returns
-    gf2_solve's (x0, kernel): the solutions are x0 plus the span of the
-    kernel.  None means there is no solution.
-    """
-    _validate_subfield_degree(ctx, h)
-    a = _check_element(ctx, a, "a")
-    rhs = _check_element(ctx, rhs, "rhs")
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    return gf2_solve(linearized_columns(ctx, h, a), rhs, ctx.m)
-
-
 def basis_images(ctx: FieldCtx, c: int, k: int) -> np.ndarray:
     """c * e_j^(2^k) for every polynomial basis element e_j = x^j, j < m; c != 0."""
     logs = ctx.log_table[1 << np.arange(ctx.m, dtype=np.int64)]
@@ -386,7 +368,7 @@ def basis_images(ctx: FieldCtx, c: int, k: int) -> np.ndarray:
 
 def linearized_columns(ctx: FieldCtx, h: int, a: int) -> np.ndarray:
     """L(e_j) for j < m, where L(x) = a^(2^h) * x^(2^(2h)) + a * x is the
-    GF(2)-linear left side of solve_affine_linearized."""
+    GF(2)-linear left side of the closed forms' affine equation."""
     return basis_images(ctx, pow(ctx, a, 1 << h), 2 * h) ^ basis_images(ctx, a, 0)
 
 

@@ -75,6 +75,15 @@ def test_unknown_kind_and_empty_set():
         code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, ()))
 
 
+def test_build_code_rejects_elements_outside_the_units():
+    # 0 has no log (0^3 = 0 would be a zero column), -1 would alias q - 1
+    # and q would index past the tables
+    ctx = gf2m.build_field(5)
+    for bad in (0, -1, ctx.q, 40):
+        with pytest.raises(ValueError, match=f"element {bad} is not a nonzero element"):
+            code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, (3, bad, 5)))
+
+
 # ---------------------------------------------------------------------------
 # Reference codes: the three worked examples.
 # ---------------------------------------------------------------------------
@@ -174,13 +183,18 @@ def test_single_element_defining_set():
     assert dist.counts == {0: 16, 1: 16}
 
 
+def _codeword_weight_direct(lc, x):
+    """Hamming weight of the codeword of message x, one trace per coordinate."""
+    return sum(gf2m.trace(lc.ctx, gf2m.mul(lc.ctx, x, int(p))) for p in lc.phis)
+
+
 def test_codeword_weight_direct():
     ctx = gf2m.build_field(6)
     lc = code_mod.build_code(ctx, 1, code_mod.defining_set(ctx, code_mod.D1))
-    assert code_mod.codeword_weight_direct(lc, 0) == 0
+    assert _codeword_weight_direct(lc, 0) == 0
     w = code_mod._weights_by_message(lc)
     for x in (1, 2, 17, 40, 63):
-        assert code_mod.codeword_weight_direct(lc, x) == int(w[x])
+        assert _codeword_weight_direct(lc, x) == int(w[x])
 
 
 def test_weight_formula_equals_direct_small_m():
@@ -222,6 +236,15 @@ def _largest_irreducible(m):
     return next(p for p in range((2 << m) - 1, 1 << m, -1) if gf2m.is_irreducible(p))
 
 
+def _every_code(ctx):
+    """(h, code) for every proper divisor h and every variant defined there."""
+    for h in [h for h in range(1, ctx.m) if ctx.m % h == 0]:
+        for kind in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR):
+            yield h, code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
+        if (ctx.m // h) % 2 == 0 and ctx.m > 2:
+            yield h, code_mod.punctured_code(ctx, h)
+
+
 def test_walsh_route_equals_literal_column_count():
     # the per-coordinate count sum_phi Tr(x*phi) is the oracle for the
     # Walsh route, over every variant and h, under two moduli per degree
@@ -229,18 +252,13 @@ def test_walsh_route_equals_literal_column_count():
         for modulus in (None, _largest_irreducible(m)):
             ctx = gf2m.build_field(m, modulus)
             xs = np.arange(ctx.q, dtype=np.int64)
-            for h in [h for h in range(1, m) if m % h == 0]:
-                codes = [code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
-                         for kind in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR)]
-                if (m // h) % 2 == 0:
-                    codes.append(code_mod.punctured_code(ctx, h))
-                for lc in codes:
-                    literal = sum(
-                        ctx.trace_table[gf2m.mul_vec(ctx, p, xs)].astype(np.int64)
-                        for p in lc.phis
-                    )
-                    assert np.array_equal(code_mod._weights_by_message(lc), literal), (
-                        m, ctx.modulus, h, lc.defset.kind)
+            for h, lc in _every_code(ctx):
+                literal = sum(
+                    ctx.trace_table[gf2m.mul_vec(ctx, p, xs)].astype(np.int64)
+                    for p in lc.phis
+                )
+                assert np.array_equal(code_mod._weights_by_message(lc), literal), (
+                    m, ctx.modulus, h, lc.defset.kind)
 
 
 @st.composite
@@ -251,6 +269,33 @@ def _irreducible_modulus(draw, max_degree: int) -> int:
     start = draw(st.integers(1 << m, (2 << m) - 1))
     return next(p for p in chain(range(start, 2 << m), range(1 << m, start))
                 if gf2m.is_irreducible(p))
+
+
+def _assert_rank_oracle(ctx):
+    for h, lc in _every_code(ctx):
+        case = (ctx.m, ctx.modulus, h, lc.defset.kind)
+        # the rank of every column in its given order, duplicates and all
+        assert lc.k == gf2m.gf2_rank(lc.phis.tolist(), ctx.m), case
+        if lc.h == 0:
+            image = np.unique(gf2m.power_table(ctx, (1 << h) + 1)[1:])
+            assert lc.defset.elements.dtype == image.dtype, case
+            assert np.array_equal(lc.defset.elements, image), case
+        else:
+            els = lc.defset.elements
+            repeated = code_mod.DefiningSet(lc.defset.kind, np.concatenate([els[::-1], els[::3]]))
+            assert code_mod.build_code(ctx, h, repeated).k == lc.k, case
+
+
+def test_rank_oracle_smallest_and_largest_modulus():
+    for m in range(3, 13):
+        for modulus in (None, _largest_irreducible(m)):
+            _assert_rank_oracle(gf2m.build_field(m, modulus))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_irreducible_modulus(12))
+def test_rank_oracle_in_a_random_basis(modulus):
+    _assert_rank_oracle(gf2m.build_field(gf2m.poly_degree(modulus), modulus))
 
 
 @st.composite

@@ -8,6 +8,7 @@ of shipping it separately from the corrected variant.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,32 @@ def test_format_sweep_content():
 
 def test_sweep_empty_range():
     assert predict.sweep([]) == []
+
+
+# Frozen: the range, its row counts and the time bound of the large sweep.
+LARGE_SWEEP_MS = range(15, 21)
+LARGE_SWEEP_ROWS = 68
+LARGE_SWEEP_ADJUDICATIONS = 8
+LARGE_SWEEP_SECONDS = 60.0
+
+
+def test_sweep_m15_to_m20():
+    t0 = time.monotonic()
+    reports = predict.sweep(LARGE_SWEEP_MS)
+    elapsed = time.monotonic() - t0
+    main = [r for r in reports if not r.informational]
+    assert len(main) == LARGE_SWEEP_ROWS
+    assert len(reports) - len(main) == LARGE_SWEEP_ADJUDICATIONS
+    assert len({(r.m, r.h, r.variant) for r in main}) == LARGE_SWEEP_ROWS
+    for r in main:
+        want = predict._applicable_source(r.variant, r.m // r.h, r.m)
+        if want is None:
+            assert r.status == predict.INAPPLICABLE, (r.m, r.h, r.variant)
+        else:
+            assert (r.source, r.status) == (want, predict.MATCH), (r.m, r.h, r.variant)
+        # the norm collapse: at m = 2h every column lies in GF(2^h)
+        assert r.k == (r.h if r.m == 2 * r.h else r.m), (r.m, r.h, r.variant)
+    collapsed = sorted((r.m, r.variant) for r in main if r.m == 2 * r.h)
+    assert collapsed == [(m, v) for m in (16, 18, 20) for v in sorted(code_mod.KINDS)]
+    assert elapsed <= LARGE_SWEEP_SECONDS
+    print(f"m = 15..20 sweep: {len(main)} cases in {elapsed:.2f}s")
