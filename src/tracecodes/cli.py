@@ -167,11 +167,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    lc = _make_code(args)
-    if args.out == "-":
-        code_mod.write_generator_matrix(lc, sys.stdout)
-    else:
-        code_mod.write_generator_matrix(lc, args.out)
+    code_mod.write_generator_matrix(_make_code(args), sys.stdout if args.out == "-" else args.out)
     return 0
 
 

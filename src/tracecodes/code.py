@@ -72,7 +72,7 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
     elif kind == FULL_STAR:
         els = xs[1:]
     elif kind == PUNCTURED_IMAGE:
-        gf2m._validate_subfield_degree(ctx, h)
+        h = gf2m._validate_subfield_degree(ctx, h)
         if (ctx.m // h) % 2:
             raise ValueError(
                 f"punctured image needs m/h even; for m={ctx.m}, h={h} the map "
@@ -132,7 +132,7 @@ class WeightDistribution:
 
 def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
     """Code with columns phi(d) = d^(2^h+1) over the given defining set."""
-    gf2m._validate_subfield_degree(ctx, h)
+    h = gf2m._validate_subfield_degree(ctx, h)
     if len(defset) == 0:
         raise ValueError("defining set is empty")
     bad = defset.elements[(defset.elements < 1) | (defset.elements >= ctx.q)]
@@ -154,7 +154,7 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
 
 def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
     """Code of length (2^m - 1)/(2^h + 1) on the power-map image, identity columns."""
-    gf2m._validate_subfield_degree(ctx, h)
+    h = gf2m._validate_subfield_degree(ctx, h)
     if ctx.m <= 2:
         raise ValueError("punctured construction needs m > 2")
     ds = defining_set(ctx, PUNCTURED_IMAGE, h)
@@ -214,15 +214,13 @@ def generator_matrix(code: LinearCode) -> np.ndarray:
     """k x n generator matrix (uint8), rows in reduced row-echelon form.
 
     Rows start as the codewords of the message basis 1, x, ..., x^(m-1),
-    packed into ints with coordinate 0 as the top bit, so that the reduced
-    basis read in descending lead order is the reduced row-echelon form.
+    Tr(x^i * phi_j) = bit i of B[phi_j] (gf2m.dual_coordinates), packed into
+    ints with coordinate 0 as the top bit, so that the reduced basis read in
+    descending lead order is the reduced row-echelon form.
     """
     ctx = code.ctx
-    lphi = ctx.log_table[code.phis]
-    tr_alog = gf2m.trace_of_antilog(ctx)
-    rows = np.empty((ctx.m, code.n), dtype=np.uint8)
-    for i in range(ctx.m):
-        rows[i] = tr_alog[int(ctx.log_table[1 << i]) + lphi]
+    bins = gf2m.dual_coordinates(ctx)[code.phis]
+    rows = ((bins >> np.arange(ctx.m)[:, None]) & 1).astype(np.uint8)
     nbytes = (code.n + 7) // 8
     packed = np.packbits(rows, axis=1)
     basis = gf2m.gf2_basis(int.from_bytes(r.tobytes(), "big") for r in packed)

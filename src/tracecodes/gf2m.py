@@ -15,6 +15,8 @@ field costs O(2^m) array work and about 2^(m/2) Python steps.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MIN_DEGREE = 2
@@ -135,34 +137,34 @@ def gf2_rank(vecs, width: int) -> int:
 
 
 def gf2_solver(cols: list[int], m: int):
-    """Eliminate M once; return solve(rhs) for M x = rhs over GF(2).
+    """Eliminate M once; return (reduce, kernel) for M x = rhs over GF(2).
 
-    Bit i of cols[j] is M[i][j]; solutions are ints with bit j = x_j.
-    solve returns (particular_solution, kernel_basis) or None when
-    inconsistent, for any number of right-hand sides.
+    Bit i of cols[j] is M[i][j]; solutions are ints with bit j = x_j, and
+    kernel is a basis of the solutions of M x = 0.
 
     Column j is tagged with bit j below it, so every vector of the span
-    reads (M x) << m | x.  Reducing rhs << m leaves rhs + M x on top, which
-    is zero exactly when x solves the system; the basis vectors with zero
-    top part are the kernel.
+    reads (M x) << m | x.  reduce(rhs) clears the lead bits of rhs << m,
+    leaving (rhs + M x) << m | x: the top part is zero exactly when rhs is
+    solvable, and the low m bits are then a solution.  reduce is GF(2)-linear
+    in rhs, so a table of it follows from the reductions of a basis.
     """
     basis = gf2_basis((int(c) << m) | 1 << j for j, c in enumerate(cols))
 
-    def solve(rhs: int) -> tuple[int, list[int]] | None:
+    def reduce(rhs: int) -> int:
         r = rhs << m
         for lead, v in basis.items():
             if lead >= m and (r >> lead) & 1:
                 r ^= v
-        if r >> m:
-            return None
-        return r, [v for lead, v in basis.items() if lead < m]
+        return r
 
-    return solve
+    return reduce, [v for lead, v in basis.items() if lead < m]
 
 
 def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None:
-    """Solve M x = rhs over GF(2) for one right-hand side; see gf2_solver."""
-    return gf2_solver(cols, m)(rhs)
+    """(particular_solution, kernel_basis) of M x = rhs, or None when inconsistent."""
+    reduce, kernel = gf2_solver(cols, m)
+    r = reduce(rhs)
+    return None if r >> m else (r, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +252,13 @@ def build_field(m: int, modulus: int | None = None) -> FieldCtx:
     The build asserts that g^(2^m-1) = 1, that every unit gets a log and
     that the trace is balanced.
     """
-    if not isinstance(m, int) or not MIN_DEGREE <= m <= MAX_DEGREE:
+    m = _as_int(m, "m")
+    if not MIN_DEGREE <= m <= MAX_DEGREE:
         raise ValueError(f"m must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}], got {m!r}")
     if modulus is None:
         modulus = smallest_irreducible(m)
     else:
-        modulus = int(modulus)
+        modulus = _as_int(modulus, "modulus")
         if modulus < 0:
             raise ValueError(f"modulus {modulus} is negative; it must encode a polynomial")
         if poly_degree(modulus) != m:
@@ -303,13 +306,23 @@ def build_field(m: int, modulus: int | None = None) -> FieldCtx:
     return FieldCtx(m, modulus, generator, log_np, alog_np, tr.astype(np.uint8))
 
 
-def _validate_subfield_degree(ctx: FieldCtx, h: int) -> None:
-    if not isinstance(h, int) or not 1 <= h < ctx.m or ctx.m % h:
+def _as_int(value, name: str) -> int:
+    """value as an int, numpy integers included; floats and the rest are a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
+def _validate_subfield_degree(ctx: FieldCtx, h: int) -> int:
+    h = _as_int(h, "h")
+    if not 1 <= h < ctx.m or ctx.m % h:
         raise ValueError(f"h={h!r} must be a positive proper divisor of m={ctx.m}")
+    return h
 
 
 def _check_element(ctx: FieldCtx, a: int, name: str = "element") -> int:
-    a = int(a)
+    a = _as_int(a, name)
     if not 0 <= a < ctx.q:
         raise ValueError(f"{name}={a} is not an element of GF(2^{ctx.m})")
     return a
@@ -350,7 +363,7 @@ def trace(ctx: FieldCtx, a: int) -> int:
 
 def relative_trace(ctx: FieldCtx, h: int, a: int) -> int:
     """Trace of a from GF(2^m) onto the subfield GF(2^h), h a proper divisor of m."""
-    _validate_subfield_degree(ctx, h)
+    h = _validate_subfield_degree(ctx, h)
     a = _check_element(ctx, a)
     r = 0
     cur = a
@@ -444,13 +457,13 @@ def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
     trace(b*x) = parity(bits(b) & B[x]), which turns trace pairings into
     plain bit inner products for the Walsh transform kernels.
 
-    B is linear, so linear_table builds it from B[e_j] alone.
+    B is linear, so linear_table builds it from the m^2 traces Tr(e_i * e_j).
     """
     def build():
-        m = ctx.m
-        return linear_table(
-            [sum(trace(ctx, mul(ctx, 1 << i, 1 << j)) << i for i in range(m)) for j in range(m)]
-        )
+        logs = ctx.log_table[1 << np.arange(ctx.m)]
+        products = ctx.antilog_table[(logs[:, None] + logs) % ctx.n_units]  # e_i * e_j
+        bits = ctx.trace_table[products].astype(np.int64) << np.arange(ctx.m)[:, None]
+        return linear_table(bits.sum(axis=0))
 
     return _cached(ctx, "dual", build)
 
@@ -458,13 +471,12 @@ def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
 def wht(v: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z)."""
     v = v.astype(np.int64, copy=True)
-    n = v.size
     width = 1
-    while width < n:
-        v = v.reshape(-1, 2, width)
-        top = v[:, 0, :].copy()
-        v[:, 0, :] = top + v[:, 1, :]
-        v[:, 1, :] = top - v[:, 1, :]
-        v = v.reshape(n)
+    while width < v.size:
+        pairs = v.reshape(-1, 2, width)  # a view: writes to lo and hi land in v
+        lo, hi = pairs[:, 0, :], pairs[:, 1, :]
+        total = lo + hi
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
         width <<= 1
     return v

@@ -89,11 +89,13 @@ class VerificationReport:
     note: str = ""
 
 
-def _validate_params(m: int, h: int) -> None:
-    if not isinstance(m, int) or m < 2:
+def _validate_params(m: int, h: int) -> tuple[int, int]:
+    m, h = gf2m._as_int(m, "m"), gf2m._as_int(h, "h")
+    if m < 2:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
-    if not isinstance(h, int) or not 1 <= h < m or m % h:
+    if not 1 <= h < m or m % h:
         raise ValueError(f"h={h!r} must be a positive proper divisor of m={m}")
+    return m, h
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -120,7 +122,7 @@ def _pow2(exp: int):
 
 def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
     """Evaluate the named table for (m, h); Inapplicable when its hypothesis fails."""
-    _validate_params(m, h)
+    m, h = _validate_params(m, h)
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     mh = m // h
@@ -132,21 +134,17 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
         spread = 1 << ((m + h - 4) // 2)
         a_mid = (1 << m) - 1 - (1 << (m - h))
         half = 1 << (m - h - 1)
-        if source == T1:
-            n = (1 << (m - 1)) - 1
-            dev = 1 << ((m - h - 2) // 2)
-            rows = [(w_mid - spread, half + dev), (w_mid, a_mid), (w_mid + spread, half - dev)]
+        n = 1 << (m - 1)
+        dev = 1 << ((m - h - 2) // 2)
+        if source == T1:  # one word shorter, and the deviation changes sign
+            n, dev = n - 1, -dev
             hyp = "m/h odd, trace-0 set"
         elif source == T2:
-            n = 1 << (m - 1)
             dev = _pow2((m - h - 4) // 2)
-            rows = [(w_mid - spread, half - dev), (w_mid, a_mid), (w_mid + spread, half + dev)]
             hyp = "m/h odd, trace-1 set (as printed; fails the second power moment)"
         else:
-            n = 1 << (m - 1)
-            dev = 1 << ((m - h - 2) // 2)
-            rows = [(w_mid - spread, half - dev), (w_mid, a_mid), (w_mid + spread, half + dev)]
             hyp = "m/h odd, trace-1 set (moment-corrected)"
+        rows = [(w_mid - spread, half - dev), (w_mid, a_mid), (w_mid + spread, half + dev)]
         return TheoremPrediction(source, m, h, n, _merge(rows), hyp)
 
     if mh % 2:
@@ -396,13 +394,7 @@ def format_sweep(reports: list[VerificationReport]) -> str:
             f"cases; moment-corrected variant matched in {matched}/{len(corrected)}"
         )
 
-    main = [r for r in reports if not r.informational]
-    lines.append(
-        "# summary cases={} match={} mismatch={} inapplicable={}".format(
-            len(main),
-            sum(1 for r in main if r.status == MATCH),
-            sum(1 for r in main if r.status == MISMATCH),
-            sum(1 for r in main if r.status == INAPPLICABLE),
-        )
-    )
+    st = [r.status for r in reports if not r.informational]
+    lines.append(f"# summary cases={len(st)} match={st.count(MATCH)} "
+                 f"mismatch={st.count(MISMATCH)} inapplicable={st.count(INAPPLICABLE)}")
     return "\n".join(lines) + "\n"

@@ -49,18 +49,18 @@ class WeilSumValue:
     is_exact = True
 
 
-def _validate_query(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> tuple[int, int]:
-    gf2m._validate_subfield_degree(ctx, h)
+def _validate_query(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> tuple[int, int, int]:
+    h = gf2m._validate_subfield_degree(ctx, h)
     a = gf2m._check_element(ctx, a, "a")
     b = gf2m._check_element(ctx, b, "b")
     if a == 0:
         raise ValueError("a must be nonzero")
-    return a, b
+    return h, a, b
 
 
 def weil_sum_direct(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> int:
     """S_h(a, b) by direct summation over all 2^m field elements."""
-    a, b = _validate_query(ctx, h, a, b)
+    h, a, b = _validate_query(ctx, h, a, b)
     powers = gf2m.power_table(ctx, (1 << h) + 1)
     arg = gf2m.mul_vec(ctx, a, powers)
     if b:
@@ -71,7 +71,7 @@ def weil_sum_direct(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> int:
 
 def is_power_2h_plus_1(ctx: gf2m.FieldCtx, h: int, a: int) -> bool:
     """True iff a = c^(2^h+1) for some c; for m/h odd this holds for all a != 0."""
-    a, _ = _validate_query(ctx, h, a, 0)
+    h, a, _ = _validate_query(ctx, h, a, 0)
     d = math.gcd((1 << h) + 1, ctx.n_units)
     return int(ctx.log_table[a]) % d == 0
 
@@ -81,13 +81,15 @@ def epsilon(m: int, h: int) -> int:
     return -1 if ((m // 2) // h) % 2 else 1
 
 
-def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple[int, int, int, int, bool]:
-    """(a', u, t, scale, unique): the normalisation of the module docstring.
+def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
+    """(a', u, t, scale, unique, reduce): the normalisation of the module docstring.
 
     b' = u*b, so S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0) at any solution
     x0 of a'^q x^(q^2) + a' x = (u*b + t)^q, and 0 when there is none.
     unique marks the permutation branch, where every right-hand side is
-    solvable.
+    solvable.  reduce is the gf2m.gf2_solver reduction of the left side;
+    when m/h is odd (t = 1) that side is x^(q^2) + x for every a, so it is
+    eliminated once per field and h.
     """
     m = ctx.m
     if (m // h) % 2:
@@ -95,12 +97,17 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple[int, int, int, int, boo
         s = pow((1 << h) + 1, -1, n)  # gcd(2^h+1, 2^m-1) = 1 in this regime
         u = int(ctx.antilog_table[(-s * int(ctx.log_table[a])) % n])  # 1/c
         jacobi = -1 if h % 2 and (m // h) % 8 in (3, 5) else 1  # (2 | m/h)^h
-        return 1, u, 1, jacobi << ((m + h) // 2), False
-    e = m // 2
-    eps = epsilon(m, h)
-    if is_power_2h_plus_1(ctx, h, a):
-        return a, 1, 0, -eps << (e + h), False
-    return a, 1, 0, eps << e, True
+        a1, t, scale, unique = 1, 1, jacobi << ((m + h) // 2), False
+    else:
+        e, eps = m // 2, epsilon(m, h)
+        unique = not is_power_2h_plus_1(ctx, h, a)  # the power branch has a kernel
+        a1, u, t, scale = a, 1, 0, (eps << e if unique else -eps << (e + h))
+
+    def eliminate():
+        return gf2m.gf2_solver(gf2m.linearized_columns(ctx, h, a1), m)[0]
+
+    reduce = gf2m._cached(ctx, ("odd_reduce", h), eliminate) if t else eliminate()
+    return a1, u, t, scale, unique, reduce
 
 
 def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumValue:
@@ -120,17 +127,16 @@ def weil_sum_closed_many(ctx: gf2m.FieldCtx, h: int, a: int, bs) -> list[int]:
     """Closed-form S_h(a, b) for each b in bs, as weil_sum_closed computes it.
 
     The linear map of the affine equation depends on a alone, so its one
-    elimination serves every b.
+    reduction serves every b.
     """
-    a, _ = _validate_query(ctx, h, a, 0)
+    h, a, _ = _validate_query(ctx, h, a, 0)
     bs = [gf2m._check_element(ctx, b, "b") for b in bs]
-    a1, u, t, scale, unique = _regime(ctx, h, a)
+    a1, u, t, scale, unique, reduce = _regime(ctx, h, a)
     q = 1 << h
-    solve = gf2m.gf2_solver(gf2m.linearized_columns(ctx, h, a1), ctx.m)
     values = []
     for b in bs:
-        sol = solve(gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, q))
-        if sol is None:
+        x0 = reduce(gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, q))  # a solution if < 2^m
+        if x0 >> ctx.m:
             if unique:
                 raise RuntimeError(
                     f"permutation branch unsolvable for m={ctx.m} h={h} a={a} b={b}; "
@@ -138,7 +144,6 @@ def weil_sum_closed_many(ctx: gf2m.FieldCtx, h: int, a: int, bs) -> list[int]:
                 )
             values.append(0)
             continue
-        x0 = sol[0]
         arg = gf2m.mul(ctx, a1, gf2m.pow(ctx, x0, q + 1)) ^ (x0 if t else 0)
         values.append(scale * (1 - 2 * gf2m.trace(ctx, arg)))
     return values
@@ -150,7 +155,7 @@ def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
     Counted directly over the field, then asserted against the closed forms
     T0 = 2^(m-1) - eps*2^(e+h-1), T1 = 2^(m-1) + eps*2^(e+h-1).
     """
-    gf2m._validate_subfield_degree(ctx, h)
+    h = gf2m._validate_subfield_degree(ctx, h)
     m = ctx.m
     if (m // h) % 2:
         raise ValueError(f"subfield image counts need m/h even, got m={m} h={h}")
@@ -180,13 +185,12 @@ def weil_sum_direct_all_b(ctx: gf2m.FieldCtx, h: int, a: int) -> np.ndarray:
     B[x].  This is still a direct evaluation (every x contributes exactly
     once); only the summation order changes.
     """
-    a, _ = _validate_query(ctx, h, a, 0)
+    h, a, _ = _validate_query(ctx, h, a, 0)
     powers = gf2m.power_table(ctx, (1 << h) + 1)
     sx = 1 - 2 * ctx.trace_table[gf2m.mul_vec(ctx, a, powers)].astype(np.int64)
-    bins = gf2m.dual_coordinates(ctx)
-    plus = np.bincount(bins[sx > 0], minlength=ctx.q)
-    minus = np.bincount(bins[sx < 0], minlength=ctx.q)
-    return gf2m.wht(plus - minus)
+    binned = np.empty_like(sx)
+    binned[gf2m.dual_coordinates(ctx)] = sx  # B is a bijection: one x per bin
+    return gf2m.wht(binned)
 
 
 def weil_sum_closed_all_b(
@@ -194,20 +198,18 @@ def weil_sum_closed_all_b(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form values for every b: (values int64[q], exact bool[q]).
 
-    The same closed form as weil_sum_closed, for all b at once: one preimage
-    table of the linear map, one character table, one gather.  Every entry
-    is exact and signed, so exact is all True.
+    The same closed form as weil_sum_closed, for all b at once: the
+    right-hand side (u*b + t)^q = u^q * b^q + t is GF(2)-linear in b up to
+    the constant t, so its reduction is tabulated from the reductions of m
+    basis images and of t, then one character table and one gather.  Every
+    entry is exact and signed, so exact is all True.
     """
-    a, _ = _validate_query(ctx, h, a, 0)
-    a1, u, t, scale, unique = _regime(ctx, h, a)
+    h, a, _ = _validate_query(ctx, h, a, 0)
+    a1, u, t, scale, unique, reduce = _regime(ctx, h, a)
     q = 1 << h
-    preimage = np.full(ctx.q, -1, dtype=np.int32)
-    lvals = gf2m.linear_table(gf2m.linearized_columns(ctx, h, a1))
-    preimage[lvals] = np.arange(ctx.q, dtype=np.int32)
-    # (u*b + t)^q = u^q * b^q + t, GF(2)-linear in b up to the constant t
-    rhs = gf2m.linear_table(gf2m.basis_images(ctx, gf2m.pow(ctx, u, q), h))
-    x0 = preimage[rhs ^ t]
-    unsolvable = x0 < 0
+    images = gf2m.basis_images(ctx, gf2m.pow(ctx, u, q), h)
+    reduced = gf2m.linear_table([reduce(int(c)) for c in images]) ^ reduce(t)
+    unsolvable = reduced >= ctx.q
     if unique and unsolvable.any():
         raise RuntimeError("permutation branch left unsolvable right-hand sides")
     # character bit of a1*x^(q+1) + t*x for every x, with log(x^(q+1)) = (q+1)*log(x)
@@ -216,6 +218,6 @@ def weil_sum_closed_all_b(
     bits[0] = 0
     if t:
         bits ^= ctx.trace_table
-    values = np.where(bits[x0], -scale, scale)
+    values = np.where(bits[reduced & (ctx.q - 1)], -scale, scale)
     values[unsolvable] = 0
     return values, np.ones(ctx.q, dtype=bool)

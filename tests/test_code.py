@@ -430,3 +430,38 @@ def test_export_format_and_roundtrip(tmp_path):
     buf = io.StringIO()
     code_mod.write_generator_matrix(lc, buf)
     assert buf.getvalue() == out.read_text()
+
+
+def test_numpy_integers_are_integers_and_floats_are_refused():
+    """Parameter checks take numpy integers at their value, with the same
+    results as ints, and refuse floats with ValueError instead of truncating."""
+    i64 = np.int64
+    assert gf2m.build_field(i64(10)).antilog_table.tobytes() == gf2m.build_field(10).antilog_table.tobytes()
+    assert predict.predict_distribution(i64(6), i64(1), "T3") == predict.predict_distribution(6, 1, "T3")
+    with pytest.raises(predict.Inapplicable):
+        predict.predict_distribution(i64(6), 2, "T3")
+    ctx8 = gf2m.build_field(8)
+    ds = code_mod.defining_set(ctx8, code_mod.D0)
+    got, ref = code_mod.build_code(ctx8, i64(2), ds), code_mod.build_code(ctx8, 2, ds)
+    assert (got.h, got.n, got.k) == (ref.h, ref.n, ref.k) and type(got.h) is int
+    assert np.array_equal(got.phis, ref.phis)
+    assert code_mod.weight_distribution(got) == code_mod.weight_distribution(ref)
+    ctx5 = gf2m.build_field(5)
+    assert gf2m.mul(ctx5, i64(2), np.uint8(3)) == gf2m.mul(ctx5, 2, 3)
+    assert (code_mod.codeword_weight_formula(ctx5, i64(1), 0, np.int32(5))
+            == code_mod.codeword_weight_formula(ctx5, 1, 0, 5))
+    assert weil.weil_sum_closed_all_b(ctx8, i64(2), i64(7))[0].tolist() == \
+        weil.weil_sum_closed_all_b(ctx8, 2, 7)[0].tolist()
+    refused = (
+        lambda: gf2m.build_field(10.0),
+        lambda: gf2m.build_field(5, 37.0),
+        lambda: predict.predict_distribution(6.0, 1, "T3"),
+        lambda: predict.predict_distribution(6, 1.0, "T3"),
+        lambda: code_mod.build_code(ctx8, 2.0, ds),
+        lambda: gf2m.mul(ctx5, 2.9, 3),
+        lambda: code_mod.codeword_weight_formula(ctx5, 1, 0, 5.5),
+        lambda: weil.weil_sum_closed(ctx5, 1, i64(3), 1.0),
+    )
+    for call in refused:
+        with pytest.raises(ValueError):
+            call()

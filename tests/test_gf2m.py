@@ -411,6 +411,42 @@ def test_gf2_solve_reproduces_solution_sets():
         assert got == brute
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m),
+        st.integers(0, (1 << m) - 1),
+        st.integers(0, (1 << m) - 1),
+    ))
+)
+def test_gf2_solver_reduction_is_linear_and_decides_solvability(case):
+    """reduce(rhs) = (rhs + M x) << m | x is GF(2)-linear in rhs, inconsistent
+    right-hand sides included; its top part is zero exactly when M x = rhs
+    has a solution, and its low bits then solve it.  Singular M (repeated or
+    zero columns) is drawn as often as it comes."""
+    m, cols, x, y = case
+    reduce, kernel = gf2m.gf2_solver(cols, m)
+
+    def apply(v: int) -> int:
+        r = 0
+        for j in range(m):
+            if (v >> j) & 1:
+                r ^= cols[j]
+        return r
+
+    images = {apply(v) for v in range(1 << m)}
+    assert reduce(x ^ y) == reduce(x) ^ reduce(y)
+    assert reduce(0) == 0
+    for rhs in (x, y, x ^ y):
+        r = reduce(rhs)
+        assert (r >> m == 0) == (rhs in images)
+        if r >> m == 0:
+            assert apply(r) == rhs
+    assert all(apply(v) == 0 for v in kernel)
+    assert 1 << len(kernel) == sum(apply(v) == 0 for v in range(1 << m))
+
+
 def _solutions(sol) -> set[int]:
     if sol is None:
         return set()
@@ -436,8 +472,8 @@ def test_solve_affine_linearized_exhaustive():
                 def apply(x: int) -> int:
                     return gf2m.mul(ctx, a2h, gf2m.pow(ctx, x, texp)) ^ gf2m.mul(ctx, a, x)
 
-                solve = gf2m.gf2_solver(gf2m.linearized_columns(ctx, h, a), m)
-                roots = _solutions(solve(0))
+                cols = gf2m.linearized_columns(ctx, h, a)
+                roots = _solutions(gf2m.gf2_solve(cols, 0, m))
                 assert roots == {x for x in range(ctx.q) if apply(x) == 0}
                 if (m // h) % 2:
                     assert len(roots) == 1 << h
@@ -446,7 +482,7 @@ def test_solve_affine_linearized_exhaustive():
                 else:
                     assert roots == {0}
                 rhs = (a * 7 + h) % ctx.q  # arbitrary deterministic right side
-                sols = _solutions(solve(rhs))
+                sols = _solutions(gf2m.gf2_solve(cols, rhs, m))
                 assert sols == {x for x in range(ctx.q) if apply(x) == rhs}
 
 

@@ -107,7 +107,8 @@ def test_odd_regime_magnitude_branch():
 
 def test_closed_equals_direct_exhaustive_small_m():
     """Every (a, b) pair for every divisor, m up to 8, through the batch
-    kernels; scalar calls are sampled against the batch arrays."""
+    kernels; for sampled a, the scalar closed value equals the batch value
+    at every b, and sampled b are checked against direct summation."""
     for m in range(2, 9):
         ctx = gf2m.build_field(m)
         for h in [h for h in range(1, m) if m % h == 0]:
@@ -118,6 +119,7 @@ def test_closed_equals_direct_exhaustive_small_m():
             rng = np.random.default_rng(m * 10 + h)
             for a in rng.integers(1, ctx.q, size=3):
                 v, _ = weil.weil_sum_closed_all_b(ctx, h, int(a))
+                assert [weil.weil_sum_closed(ctx, h, int(a), b).value for b in range(ctx.q)] == v.tolist()
                 for b in rng.integers(0, ctx.q, size=5):
                     s = weil.weil_sum_closed(ctx, h, int(a), int(b))
                     assert s.is_exact and s.value == int(v[b])
