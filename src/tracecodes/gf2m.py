@@ -350,6 +350,7 @@ def inv(ctx: FieldCtx, a: int) -> int:
 
 def pow(ctx: FieldCtx, a: int, k: int) -> int:  # noqa: A001 - field exponentiation
     a = _check_element(ctx, a)
+    k = _as_int(k, "k")
     if k < 0:
         raise ValueError("negative exponents are not supported; combine with inv")
     if a == 0:
@@ -400,21 +401,42 @@ def _cached(ctx: FieldCtx, key, build):
 
 
 def antilog_doubled(ctx: FieldCtx) -> np.ndarray:
-    """antilog over exponents 0 .. 2*(q-1)-2, so log sums need no reduction."""
+    """antilog over exponents 0 .. 2*(q-1)-2, so log sums need no reduction;
+    int64, 16 MB at m = 20, and only mul_vec reads it."""
     def build():
         return np.concatenate([ctx.antilog_table, ctx.antilog_table[:-1]])
     return _cached(ctx, "alog2", build)
 
 
 def trace_of_antilog(ctx: FieldCtx) -> np.ndarray:
-    """trace_table composed with antilog_doubled (uint8)."""
+    """Tr(g^i) for exponents i = 0 .. 2*(q-1)-2 (uint8), so log sums need no reduction.
+
+    The q-1 traces of the antilog table, repeated: no int64 table of
+    exponents is built for it."""
     def build():
-        return ctx.trace_table[antilog_doubled(ctx)]
+        bits = ctx.trace_table[ctx.antilog_table]
+        return np.concatenate([bits, bits[:-1]])
     return _cached(ctx, "tr_alog", build)
+
+
+def exponent_table(ctx: FieldCtx, t: int) -> np.ndarray:
+    """E[i] = t*i mod (q-1) for i < q-1: log(x^t) at x = g^i, in log order."""
+    t = _as_int(t, "t")
+
+    def build():
+        return np.arange(ctx.n_units, dtype=np.int64) * (t % ctx.n_units) % ctx.n_units
+
+    return _cached(ctx, ("exp", t), build)
+
+
+def dual_of_antilog(ctx: FieldCtx) -> np.ndarray:
+    """dual_coordinates at g^i for i < q-1: the Walsh bin of each unit, in log order."""
+    return _cached(ctx, "dual_alog", lambda: dual_coordinates(ctx)[ctx.antilog_table])
 
 
 def power_table(ctx: FieldCtx, t: int) -> np.ndarray:
     """x^t for every x in the field, t >= 1."""
+    t = _as_int(t, "t")
     if t < 1:
         raise ValueError("power_table needs t >= 1")
 
@@ -469,14 +491,32 @@ def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
 
 
 def wht(v: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z)."""
-    v = v.astype(np.int64, copy=True)
-    width = 1
-    while width < v.size:
-        pairs = v.reshape(-1, 2, width)  # a view: writes to lo and hi land in v
-        lo, hi = pairs[:, 0, :], pairs[:, 1, :]
-        total = lo + hi
-        np.subtract(lo, hi, out=hi)
-        lo[...] = total
-        width <<= 1
-    return v
+    """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z), as int64.
+
+    Each of the m stages (v.size = 2^m) writes the sums and differences of
+    the pairs (2j, 2j+1) to the halves j and j + 2^(m-1) of a second buffer:
+    it transforms the lowest index bit and rotates it to the top, so after m
+    stages every bit is transformed and back in place, and every stage reads
+    and writes whole arrays.
+
+    Every stage value is a signed sum of entries of v, so |value| is at most
+    v.size * max |v|.  The stages run in int32 when that bound is below 2^31,
+    as it is for the package's inputs at m <= 20: +-1 vectors (bound 2^20),
+    and the column counts of the codes, where a column repeats at most
+    gcd(2^h+1, 2^m-1) <= 2^(m/2)+1 times (bound 2^20 * 1025 < 2^31).  Other
+    inputs run in int64.
+    """
+    v = np.asarray(v)
+    if v.size & (v.size - 1):
+        raise ValueError(f"wht needs a power-of-two length, got {v.size}")
+    peak = max(int(v.max(initial=0)), -int(v.min(initial=0)))
+    v = v.astype(np.int32 if v.size * peak < 1 << 31 else np.int64)
+    out = np.empty_like(v)
+    half = v.size // 2
+    for _ in range(v.size.bit_length() - 1):
+        pairs = v.reshape(-1, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        v, out = out, v
+    del out  # free the spare buffer before the int64 copy
+    return v.astype(np.int64, copy=False)

@@ -5,6 +5,15 @@ Two independent evaluation routes are kept side by side on purpose:
 * weil_sum_direct literally sums the character over the field;
 * weil_sum_closed evaluates the known closed form, in O(m^2) bit operations.
 
+The direct route walks the field in log order: x = 0, then x = g^i for
+i < 2^m - 1.  The character bit of a*x^(2^h+1) is Tr(g^(log a + E[i])), with
+E[i] = (2^h+1)*i mod (2^m-1) from gf2m.exponent_table, and that of b*x is
+Tr(g^(log b + i)); both are gathers from gf2m.trace_of_antilog, so no field
+multiplication runs.  It stays a literal sum: every x contributes its own
+term exactly once, read from the core tables alone, and nothing of the
+closed route (_regime, gf2m.gf2_solver) is called, so the two routes remain
+independent checks of each other.
+
 Both regimes of the closed form are one computation.  With q = 2^h, the
 inputs are first normalised to (a', b') and a constant t in {0, 1}; then
 completing the square turns the sum into a character value at a solution
@@ -58,15 +67,24 @@ def _validate_query(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> tuple[int, in
     return h, a, b
 
 
+def _power_character(ctx: gf2m.FieldCtx, h: int, a: int) -> np.ndarray:
+    """Tr(a*x^(2^h+1)) at x = g^i for every i < q-1, as uint8 in log order."""
+    chi = gf2m.trace_of_antilog(ctx)[int(ctx.log_table[a]):]  # chi[k] = Tr(a * g^k)
+    return chi[gf2m.exponent_table(ctx, (1 << h) + 1)]
+
+
 def weil_sum_direct(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> int:
-    """S_h(a, b) by direct summation over all 2^m field elements."""
+    """S_h(a, b) by direct summation over all 2^m field elements.
+
+    x = 0 adds 1; x = g^i adds (-1)^(Tr(a*x^(2^h+1)) + Tr(b*x)), whose second
+    bit is the slice of trace_of_antilog that starts at log b.
+    """
     h, a, b = _validate_query(ctx, h, a, b)
-    powers = gf2m.power_table(ctx, (1 << h) + 1)
-    arg = gf2m.mul_vec(ctx, a, powers)
+    bits = _power_character(ctx, h, a)
     if b:
-        arg = arg ^ gf2m.mul_vec(ctx, b, np.arange(ctx.q, dtype=np.int64))
-    ones = int(ctx.trace_table[arg].sum())
-    return ctx.q - 2 * ones
+        lb = int(ctx.log_table[b])
+        bits ^= gf2m.trace_of_antilog(ctx)[lb:lb + ctx.n_units]
+    return ctx.q - 2 * int(np.count_nonzero(bits))
 
 
 def is_power_2h_plus_1(ctx: gf2m.FieldCtx, h: int, a: int) -> bool:
@@ -182,15 +200,19 @@ def weil_sum_direct_all_b(ctx: gf2m.FieldCtx, h: int, a: int) -> np.ndarray:
 
     Tr(b*x) = parity(bits(b) & B[x]) for the dual-coordinate map B, so the
     sum over x becomes a Walsh transform of the character values binned by
-    B[x].  This is still a direct evaluation (every x contributes exactly
-    once); only the summation order changes.
+    B[x]: the log-order bits of weil_sum_direct go to the bins B[g^i]
+    (gf2m.dual_of_antilog) and x = 0 to bin 0.  This is still a direct
+    evaluation (every x contributes exactly once); only the summation order
+    changes.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
-    powers = gf2m.power_table(ctx, (1 << h) + 1)
-    sx = 1 - 2 * ctx.trace_table[gf2m.mul_vec(ctx, a, powers)].astype(np.int64)
-    binned = np.empty_like(sx)
-    binned[gf2m.dual_coordinates(ctx)] = sx  # B is a bijection: one x per bin
-    return gf2m.wht(binned)
+    bits = np.zeros(ctx.q, dtype=np.uint8)  # bin B[0] = 0 holds x = 0, bit 0
+    # B is a bijection: one unit g^i per bin
+    bits[gf2m.dual_of_antilog(ctx)] = _power_character(ctx, h, a)
+    signs = bits.view(np.int8)
+    signs *= -2
+    signs += 1  # (-1)^bit
+    return gf2m.wht(signs)
 
 
 def weil_sum_closed_all_b(

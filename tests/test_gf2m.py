@@ -505,6 +505,68 @@ def test_power_table_and_mul_vec():
         gf2m.power_table(ctx, 0)
 
 
+def test_exponents_must_be_integers():
+    ctx = gf2m.build_field(5)
+    with pytest.raises(ValueError, match="not an integer"):
+        gf2m.pow(ctx, 3, 2.5)
+    with pytest.raises(ValueError, match="not an integer"):
+        gf2m.power_table(ctx, 2.0)
+    with pytest.raises(ValueError, match="not an integer"):
+        gf2m.exponent_table(ctx, 3.0)
+    assert gf2m.pow(ctx, 3, np.int64(7)) == gf2m.pow(ctx, 3, 7)
+    assert np.array_equal(gf2m.power_table(ctx, np.int32(3)), gf2m.power_table(ctx, 3))
+
+
+def test_exponent_table_against_literal_powers():
+    for m in range(2, 11):
+        ctx = gf2m.build_field(m)
+        n = ctx.n_units
+        tr = gf2m.trace_of_antilog(ctx)
+        assert tr.shape == (2 * n - 1,) and tr.dtype == np.uint8
+        assert all(tr[i] == gf2m.trace(ctx, int(ctx.antilog_table[i % n])) for i in range(2 * n - 1))
+        for h in [h for h in range(1, m) if m % h == 0]:
+            t = (1 << h) + 1
+            e = gf2m.exponent_table(ctx, t)
+            assert e.shape == (n,) and 0 <= e.min() and e.max() < n
+            for i in range(n):
+                assert ctx.antilog_table[e[i]] == gf2m.pow(ctx, int(ctx.antilog_table[i]), t)
+            assert gf2m.exponent_table(ctx, t) is e
+
+
+def _literal_wht(v: np.ndarray) -> np.ndarray:
+    z = np.arange(v.size)
+    masked = np.bitwise_and.outer(z, z)
+    parity = np.zeros_like(masked)
+    while masked.any():
+        parity ^= masked & 1
+        masked >>= 1
+    return np.where(parity == 1, -v, v).sum(axis=1)
+
+
+def test_wht_against_literal_transform():
+    rng = np.random.default_rng(8)
+    for m in range(0, 9):
+        v = rng.choice(np.array([-1, 1]), size=1 << m)
+        w = gf2m.wht(v)
+        assert w.dtype == np.int64 and np.array_equal(w, _literal_wht(v))
+        counts = rng.integers(0, 50, size=1 << m)
+        assert np.array_equal(gf2m.wht(counts), _literal_wht(counts))
+    with pytest.raises(ValueError, match="power-of-two"):
+        gf2m.wht(np.ones(6, dtype=np.int64))
+
+
+def test_wht_reaches_its_int32_bound_at_2_20():
+    size = 1 << 20
+    for sign in (1, -1):
+        w = gf2m.wht(np.full(size, sign, dtype=np.int64))
+        assert w.dtype == np.int64
+        assert w[0] == sign * size and not w[1:].any()
+    # a bound of 2^31 or more runs in int64 instead of wrapping
+    big = np.zeros(4, dtype=np.int64)
+    big[:2] = 1 << 31
+    assert list(gf2m.wht(big)) == [1 << 32, 0, 1 << 32, 0]
+
+
 def test_dual_coordinates_pairing():
     for m in range(2, 9):
         ctx = gf2m.build_field(m)

@@ -135,6 +135,37 @@ def test_batch_direct_matches_scalar_direct():
                 assert int(d[b]) == weil.weil_sum_direct(ctx, 1, a, b)
 
 
+def test_direct_sum_edges():
+    # m = 2: q - 1 = 3, and b = g^2 reads the slice that ends at the last
+    # entry of the trace-of-antilog table
+    ctx = gf2m.build_field(2)
+    for a in range(1, 4):
+        d = weil.weil_sum_direct_all_b(ctx, 1, a)
+        assert d.dtype == np.int64
+        for b in range(4):
+            want = _oracle_sum(2, ctx.modulus, 1, a, b)
+            assert weil.weil_sum_direct(ctx, 1, a, b) == int(d[b]) == want
+    for m in (5, 6):
+        ctx = gf2m.build_field(m)
+        for h in [h for h in range(1, m) if m % h == 0]:
+            # a = 1, b = 0: the sum of (-1)^Tr(x^(2^h+1))
+            s = weil.weil_sum_direct(ctx, h, 1, 0)
+            assert s == _oracle_sum(m, ctx.modulus, h, 1, 0)
+            assert s == int(weil.weil_sum_direct_all_b(ctx, h, 1)[0])
+
+
+def test_batch_direct_matches_scalar_direct_m20():
+    ctx = gf2m.build_field(20)
+    rng = np.random.default_rng(20)
+    for h in (4, 5):
+        for _ in range(2):
+            a = int(rng.integers(1, ctx.q))
+            d = weil.weil_sum_direct_all_b(ctx, h, a)
+            assert d.dtype == np.int64
+            for b in [0, *(int(b) for b in rng.integers(1, ctx.q, size=3))]:
+                assert weil.weil_sum_direct(ctx, h, a, b) == int(d[b])
+
+
 def test_even_regime_value_set():
     # exact values are 0 or +/-2^e or +/-2^(e+h)
     for m, h in ((4, 1), (6, 1), (8, 2)):
