@@ -12,11 +12,14 @@ When m = 2h the power map lands inside the subfield GF(2^h) and the rank
 genuinely drops to h; the enumeration does not mask that, it reports k and
 the inflated zero-weight count as they are.
 
-The rank k is taken over the distinct nonzero columns, read off one
-presence mask over the field in log order g^0, g^1, ...; the same mask
-gives the punctured defining set.  Successive powers of g spread over the
-bits, so the scan stops within a few columns once the rank reaches m, and
-a collapsed code of rank k has at most 2^k - 1 distinct columns to scan.
+The rank k is read off a strided sample of about 8m columns first; a
+full-rank code reaches rank m within that sample and touches no other
+column.  Only when the sample falls short does the rank go on to the
+distinct nonzero columns, read off one presence mask over the field in log
+order g^0, g^1, ...: a code whose rank collapses to k (m = 2h) has at most
+2^k - 1 of them.  The punctured defining set, the image of x -> x^(2^h+1)
+on the cyclic group GF(2^m)^*, is the subgroup <g^d> with
+d = gcd(2^h+1, 2^m-1), read off the antilog table with stride d.
 
 Enumeration takes one route for every code, the Walsh route: the columns
 are binned by their dual coordinates and one Walsh-Hadamard transform of
@@ -27,6 +30,7 @@ operations, so every m the field module admits is enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +47,31 @@ KINDS = (D0, D1, FULL_STAR, PUNCTURED_IMAGE)
 
 @dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """Coordinate index set, elements (int64) in ascending integer order."""
+    """Coordinate index set, elements (int64) in ascending integer order.
+
+    elements is a 1-D sequence of integers that fit in int64 (Python ints
+    or a numpy integer array); floats, other shapes and larger values are
+    refused with ValueError rather than truncated, reshaped or overflowed.
+    """
 
     kind: str
     elements: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=np.int64))
+        els = np.asarray(self.elements)
+        if els.size and els.dtype.kind not in "iu":
+            # numpy stores ints it cannot hold in one integer dtype (2^63 beside
+            # 3, say) as float or object; read each element as an int instead
+            objs = np.asarray(self.elements, dtype=object)
+            vals = [gf2m._as_int(v, "defining-set element") for v in objs.ravel()]
+            if not all(-(1 << 63) <= v < 1 << 63 for v in vals):
+                raise ValueError("defining-set elements must fit in int64")
+            els = np.array(vals, dtype=np.int64).reshape(objs.shape)
+        elif els.size and els.dtype.kind == "u" and els.max() > np.iinfo(np.int64).max:
+            raise ValueError("defining-set elements must fit in int64")
+        if els.ndim != 1:
+            raise ValueError(f"defining-set elements must be 1-D, got shape {els.shape}")
+        object.__setattr__(self, "elements", els.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -62,7 +84,9 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
     2^(m-1) - 1 and 2^(m-1)).  full: all of GF(2^m)^*.  punctured: the image
     {x^(2^h+1) : x != 0} as a set, which needs m/h even; when m/h is odd the
     power map is a bijection (gcd(2^h+1, 2^m - 1) = 1) and there is nothing
-    to puncture.
+    to puncture.  On the cyclic group <g> of order 2^m - 1 the image of
+    x -> x^t is the subgroup <g^d>, d = gcd(t, 2^m - 1), so the punctured
+    set is every d-th antilog entry, sorted, with no power table.
     """
     xs = np.arange(ctx.q, dtype=np.int64)
     if kind == D0:
@@ -78,7 +102,7 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
                 f"punctured image needs m/h even; for m={ctx.m}, h={h} the map "
                 f"x -> x^(2^{h}+1) is a bijection (gcd(2^{h}+1, 2^{ctx.m}-1) = 1)"
             )
-        els = np.sort(_distinct_nonzero(ctx, gf2m.power_table(ctx, (1 << h) + 1)[1:]))
+        els = np.sort(ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)])
     else:
         raise ValueError(f"unknown defining-set kind {kind!r}; expected one of {KINDS}")
     return DefiningSet(kind, els)
@@ -92,6 +116,23 @@ def _distinct_nonzero(ctx: gf2m.FieldCtx, values: np.ndarray) -> np.ndarray:
     return ctx.antilog_table[present[ctx.antilog_table]]
 
 
+def _rank(ctx: gf2m.FieldCtx, cols: np.ndarray) -> int:
+    """GF(2) rank of the columns, exactly, from one lazy stream.
+
+    The stream yields a strided sample of about 8m columns, then the
+    distinct nonzero columns.  Every value is a column and every column
+    follows the sample, so the span is exact; gf2_basis stops at width m,
+    so a sample that reaches rank m never builds the O(q) presence mask.
+    """
+    sample = cols[:: max(1, len(cols) // (8 * ctx.m))].tolist()
+
+    def stream():
+        yield from sample
+        yield from _distinct_nonzero(ctx, cols)
+
+    return gf2m.gf2_rank(stream(), ctx.m)
+
+
 @dataclass(eq=False)
 class LinearCode:
     """A constructed code: context, exponent marker, columns, length, rank.
@@ -100,8 +141,10 @@ class LinearCode:
     are phi(d) = d^(2^h+1) over the defining set.  phis holds the evaluated
     column multipliers (int64) in defining-set order; k is the GF(2) rank of
     their span, which equals the code dimension because the trace form is
-    nondegenerate.  k is computed over the distinct nonzero columns in log
-    order (_distinct_nonzero), which spans the same space as phis.
+    nondegenerate.  k is computed by _rank: a strided sample of about 8m
+    columns, and only if that falls short of rank m the distinct nonzero
+    columns in log order (_distinct_nonzero); both span subspaces of the
+    span of phis, and together the same space.
     """
 
     ctx: gf2m.FieldCtx
@@ -148,7 +191,7 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
         defset=defset,
         phis=phis,
         n=len(defset),
-        k=gf2m.gf2_rank(_distinct_nonzero(ctx, phis), ctx.m),
+        k=_rank(ctx, phis),
     )
 
 
@@ -164,7 +207,7 @@ def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
         defset=ds,
         phis=ds.elements,
         n=len(ds),
-        k=gf2m.gf2_rank(_distinct_nonzero(ctx, ds.elements), ctx.m),
+        k=_rank(ctx, ds.elements),
     )
 
 
@@ -233,11 +276,15 @@ def generator_matrix(code: LinearCode) -> np.ndarray:
 
 def write_generator_matrix(code: LinearCode, dest) -> None:
     """Export the generator matrix as text: header 'n k m h modulus', then
-    one '0'/'1' row per line.  dest is a path or a writable file object."""
+    one '0'/'1' row per line.  dest is a path or a writable file object.
+
+    The rows are rendered as one uint8 array of ASCII digits with a newline
+    column, decoded once."""
     g = generator_matrix(code)
-    lines = [f"{code.n} {code.k} {code.ctx.m} {code.h} {code.ctx.modulus}"]
-    lines.extend("".join("1" if b else "0" for b in row) for row in g)
-    text = "\n".join(lines) + "\n"
+    rows = np.full((code.k, code.n + 1), ord("\n"), dtype=np.uint8)
+    rows[:, :-1] = g + ord("0")
+    header = f"{code.n} {code.k} {code.ctx.m} {code.h} {code.ctx.modulus}\n"
+    text = header + rows.tobytes().decode("ascii")
     if hasattr(dest, "write"):
         dest.write(text)
     else:

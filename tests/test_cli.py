@@ -132,6 +132,15 @@ def test_export_to_file(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_export_m20_punctured(capsys):
+    rc = cli.run(["export", "--m", "20", "--h", "5", "--variant", "punctured"])
+    lines = capsys.readouterr().out.split("\n")
+    assert rc == 0
+    assert lines[0] == f"31775 20 20 0 {gf2m.build_field(20).modulus}"
+    assert lines[-1] == "" and len(lines) == 22
+    assert all(len(row) == 31775 and set(row) <= {"0", "1"} for row in lines[1:-1])
+
+
 def test_export_to_missing_directory_exit_2(tmp_path, capsys):
     rc = cli.run(["export", "--m", "5", "--h", "1", "--variant", "d0",
                   "--out", str(tmp_path / "missing" / "g.txt")])

@@ -84,6 +84,44 @@ def test_build_code_rejects_elements_outside_the_units():
             code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, (3, bad, 5)))
 
 
+def test_defining_set_refuses_floats():
+    # a float array used to be truncated to [2, 3, 5] and built into a code
+    with pytest.raises(ValueError, match="not an integer"):
+        code_mod.DefiningSet(code_mod.D0, [2.7, 3.2, 5.9])
+    with pytest.raises(ValueError, match="not an integer"):
+        code_mod.DefiningSet(code_mod.D0, np.array([2.0, 3.0]))
+    with pytest.raises(ValueError, match="not an integer"):
+        code_mod.DefiningSet(code_mod.D0, [3, None])
+
+
+def test_defining_set_refuses_other_shapes():
+    # a 2 x 2 array used to be accepted, and build_code reported n = 2 for four columns
+    with pytest.raises(ValueError, match="1-D"):
+        code_mod.DefiningSet(code_mod.D0, [[2, 3], [5, 7]])
+    with pytest.raises(ValueError, match="1-D"):
+        code_mod.DefiningSet(code_mod.D0, np.int64(3))
+
+
+def test_defining_set_refuses_values_past_int64():
+    # 2^63 used to raise OverflowError from the int64 cast
+    for big in ([3, 1 << 63], [1 << 64], [-(1 << 63) - 1], np.array([1 << 63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="fit in int64"):
+            code_mod.DefiningSet(code_mod.D0, big)
+
+
+def test_defining_set_accepts_ints_and_integer_arrays():
+    ctx = gf2m.build_field(5)
+    ref = code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, [3, 5, 6]))
+    for els in ((3, 5, 6), [np.int32(3), 5, np.uint8(6)], np.array([3, 5, 6], dtype=np.uint16),
+                np.array([3, 5, 6], dtype=np.uint64)):
+        ds = code_mod.DefiningSet(code_mod.D0, els)
+        assert ds.elements.dtype == np.int64 and ds.elements.tolist() == [3, 5, 6]
+        lc = code_mod.build_code(ctx, 1, ds)
+        assert (lc.n, lc.k) == (ref.n, ref.k) and np.array_equal(lc.phis, ref.phis)
+    assert code_mod.DefiningSet(code_mod.D0, [(1 << 63) - 1]).elements.tolist() == [(1 << 63) - 1]
+    assert code_mod.DefiningSet(code_mod.D0, ()).elements.dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # Reference codes: the three worked examples.
 # ---------------------------------------------------------------------------
@@ -298,6 +336,70 @@ def test_rank_oracle_in_a_random_basis(modulus):
     _assert_rank_oracle(gf2m.build_field(gf2m.poly_degree(modulus), modulus))
 
 
+def _counting_distinct_nonzero(monkeypatch):
+    """Wrap code._distinct_nonzero, the short-rank fallback, to count its calls."""
+    calls = []
+    inner = code_mod._distinct_nonzero
+
+    def counted(ctx, values):
+        calls.append(len(values))
+        return inner(ctx, values)
+
+    monkeypatch.setattr(code_mod, "_distinct_nonzero", counted)
+    return calls
+
+
+def test_rank_fallback_when_the_sample_falls_short(monkeypatch):
+    # thousands of copies of one element, then a tail that completes a basis:
+    # the strided sample sees only the repeated column, so the rank must come
+    # from the distinct columns behind it
+    calls = _counting_distinct_nonzero(monkeypatch)
+    for m, h in ((6, 1), (10, 2), (14, 2)):
+        ctx = gf2m.build_field(m)
+        t = (1 << h) + 1
+        tail, phis = [], []
+        for d in range(2, ctx.q):
+            phi = gf2m.pow(ctx, d, t)
+            if gf2m.gf2_rank(phis + [phi], m) > len(phis):
+                phis.append(phi)
+                tail.append(d)
+            if len(tail) == m:
+                break
+        els = np.array([1] * 3000 + tail, dtype=np.int64)
+        lc = code_mod.build_code(ctx, h, code_mod.DefiningSet(code_mod.D0, els))
+        stride = max(1, lc.n // (8 * m))
+        assert gf2m.gf2_rank(lc.phis[::stride].tolist(), m) < m, (m, h)
+        assert lc.k == gf2m.gf2_rank(lc.phis.tolist(), m) == m, (m, h)
+    assert len(calls) == 3
+
+
+def test_rank_sample_spares_the_mask_at_full_rank(monkeypatch):
+    calls = _counting_distinct_nonzero(monkeypatch)
+    for m in (10, 16):
+        ctx = gf2m.build_field(m)
+        for kind in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR):
+            assert code_mod.build_code(ctx, 1, code_mod.defining_set(ctx, kind)).k == m
+        assert code_mod.punctured_code(ctx, 1).k == m
+    assert calls == []
+    # the m = 2h collapse falls short of rank m and takes the mask route
+    ctx = gf2m.build_field(10)
+    assert code_mod.build_code(ctx, 5, code_mod.defining_set(ctx, code_mod.FULL_STAR)).k == 5
+    assert code_mod.punctured_code(ctx, 5).k == 5
+    assert len(calls) == 2
+
+
+def test_punctured_image_oracle_m14_to_m20():
+    # the subgroup <g^d> against the literal image of the power map
+    for m in (14, 16, 18, 20):
+        ctx = gf2m.build_field(m)
+        for h in [h for h in range(1, m) if m % h == 0 and (m // h) % 2 == 0]:
+            pc = code_mod.punctured_code(ctx, h)
+            image = np.unique(gf2m.power_table(ctx, (1 << h) + 1)[1:])
+            assert pc.defset.elements.dtype == image.dtype, (m, h)
+            assert np.array_equal(pc.defset.elements, image), (m, h)
+            assert pc.k == gf2m.gf2_rank(pc.phis.tolist(), m) == (h if m == 2 * h else m), (m, h)
+
+
 @st.composite
 def _random_basis_query(draw):
     """(modulus, h, a, t, b): a random irreducible modulus of degree m <= 12,
@@ -430,6 +532,37 @@ def test_export_format_and_roundtrip(tmp_path):
     buf = io.StringIO()
     code_mod.write_generator_matrix(lc, buf)
     assert buf.getvalue() == out.read_text()
+
+
+def _literal_export_text(lc):
+    """The generator-matrix text rendered bit by bit: the oracle for the
+    byte-array rendering of write_generator_matrix."""
+    g = code_mod.generator_matrix(lc)
+    lines = [f"{lc.n} {lc.k} {lc.ctx.m} {lc.h} {lc.ctx.modulus}"]
+    lines.extend("".join("1" if b else "0" for b in row) for row in g)
+    return "\n".join(lines) + "\n"
+
+
+def _export_text(lc, tmp_path):
+    """write_generator_matrix output, checked equal through a file and a stream."""
+    out = tmp_path / "g.txt"
+    code_mod.write_generator_matrix(lc, out)
+    buf = io.StringIO()
+    code_mod.write_generator_matrix(lc, buf)
+    assert out.read_bytes() == buf.getvalue().encode("ascii")
+    return buf.getvalue()
+
+
+def test_export_text_equals_per_bit_rendering(tmp_path):
+    for m in range(2, 9):
+        for modulus in (None, _largest_irreducible(m)):
+            ctx = gf2m.build_field(m, modulus)
+            for h, lc in _every_code(ctx):
+                assert _export_text(lc, tmp_path) == _literal_export_text(lc), (
+                    m, ctx.modulus, h, lc.defset.kind)
+    pc = code_mod.punctured_code(gf2m.build_field(20), 5)
+    assert (pc.n, pc.k) == (31775, 20)
+    assert _export_text(pc, tmp_path) == _literal_export_text(pc)
 
 
 def test_numpy_integers_are_integers_and_floats_are_refused():
