@@ -12,6 +12,10 @@ When m = 2h the power map lands inside the subfield GF(2^h) and the rank
 genuinely drops to h; the enumeration does not mask that, it reports k and
 the inflated zero-weight count as they are.
 
+The columns phi(d) are gathered, in one pass over the defining set, from
+gf2m.power_map_table, which tabulates the GF(2)-quadratic map x -> x^(2^h+1)
+without a remainder or random gather over the field.
+
 The rank k is read off a strided sample of about 8m columns first; a
 full-rank code reaches rank m within that sample and touches no other
 column.  Only when the sample falls short does the rank go on to the
@@ -21,10 +25,12 @@ order g^0, g^1, ...: a code whose rank collapses to k (m = 2h) has at most
 on the cyclic group GF(2^m)^*, is the subgroup <g^d> with
 d = gcd(2^h+1, 2^m-1), read off the antilog table with stride d.
 
-Enumeration takes one route for every code, the Walsh route: the columns
-are binned by their dual coordinates and one Walsh-Hadamard transform of
-the bin counts gives the weight of every message at once, in O(n + m*2^m)
-operations, so every m the field module admits is enumerated.
+Enumeration takes one route for every code, the Walsh route: one
+Walsh-Hadamard transform of the column counts gives the weight of every
+message at once, in O(n + m*2^m) operations, so every m the field module
+admits is enumerated.  The transform runs in plain coordinates, where the
+weight of message x sits at B[x] for the dual-coordinate bijection B; the
+weight distribution is a histogram, so it needs no reindexing.
 """
 
 from __future__ import annotations
@@ -138,8 +144,9 @@ class LinearCode:
     """A constructed code: context, exponent marker, columns, length, rank.
 
     h = 0 marks the identity column map (punctured codes); otherwise columns
-    are phi(d) = d^(2^h+1) over the defining set.  phis holds the evaluated
-    column multipliers (int64) in defining-set order; k is the GF(2) rank of
+    are phi(d) = d^(2^h+1) over the defining set, read from
+    gf2m.power_map_table.  phis holds the evaluated column multipliers
+    (int64) in defining-set order; k is the GF(2) rank of
     their span, which equals the code dimension because the trace form is
     nondegenerate.  k is computed by _rank: a strided sample of about 8m
     columns, and only if that falls short of rank m the distinct nonzero
@@ -174,17 +181,22 @@ class WeightDistribution:
 
 
 def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
-    """Code with columns phi(d) = d^(2^h+1) over the given defining set."""
+    """Code with columns phi(d) = d^(2^h+1) over the given defining set.
+
+    The elements must lie in 1..2^m - 1; the first one that does not is
+    named in the ValueError.  The columns are one gather from
+    gf2m.power_map_table, widened to int64.
+    """
     h = gf2m._validate_subfield_degree(ctx, h)
     if len(defset) == 0:
         raise ValueError("defining set is empty")
-    bad = defset.elements[(defset.elements < 1) | (defset.elements >= ctx.q)]
-    if bad.size:
+    els = defset.elements
+    if els.min() < 1 or els.max() >= ctx.q:
+        bad = els[(els < 1) | (els >= ctx.q)]
         raise ValueError(
             f"defining-set element {int(bad[0])} is not a nonzero element of GF(2^{ctx.m})"
         )
-    t = (1 << h) + 1
-    phis = ctx.antilog_table[(ctx.log_table[defset.elements] * t) % ctx.n_units]
+    phis = gf2m.power_map_table(ctx, h)[els].astype(np.int64)
     return LinearCode(
         ctx=ctx,
         h=h,
@@ -230,23 +242,32 @@ def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:
     return (1 << (ctx.m - 2)) - num // 4
 
 
-def _weights_by_message(code: LinearCode) -> np.ndarray:
-    """int64[q] with entry x = weight of the codeword of message x.
+def _weights(code: LinearCode) -> np.ndarray:
+    """int64[q] with entry y = weight of the codeword of the message x with B[x] = y.
 
-    Tr(x*phi) = parity(bits(x) & B[phi]) for the dual-coordinate map B, so
-    wt(x) = (n - W[x]) / 2 where W is the Walsh transform of the columns
-    binned by B[phi].  Every column still contributes exactly once; only
-    the summation order differs from a per-coordinate count.
+    Tr(x*phi) = parity(bits(phi) & B[x]) for the dual-coordinate map B, so
+    wt(x) = (n - W[B[x]]) / 2 where W is the Walsh transform of the column
+    counts in plain coordinates.  Every column still contributes exactly
+    once; only the summation order differs from a per-coordinate count.
     """
-    ctx = code.ctx
-    bins = gf2m.dual_coordinates(ctx)[code.phis]
-    return (code.n - gf2m.wht(np.bincount(bins, minlength=ctx.q))) // 2
+    w = gf2m.wht(np.bincount(code.phis, minlength=code.ctx.q))
+    np.subtract(code.n, w, out=w)
+    w >>= 1
+    return w
+
+
+def _weights_by_message(code: LinearCode) -> np.ndarray:
+    """int64[q] with entry x = weight of the codeword of message x."""
+    return _weights(code)[gf2m.dual_coordinates(code.ctx)]
 
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact message-indexed weight counts by full enumeration."""
-    w = _weights_by_message(code)
-    counts = np.bincount(w)
+    """Exact message-indexed weight counts by full enumeration.
+
+    The weights are counted as _weights indexes them, by B[x] rather than
+    by x; B is a bijection of the field, so the histogram is the same.
+    """
+    counts = np.bincount(_weights(code))
     ws = np.flatnonzero(counts)
     table = dict(zip(ws.tolist(), counts[ws].tolist()))
     d_min = min((x for x in table if x > 0), default=0)

@@ -11,10 +11,16 @@ Tables are numpy arrays so batch kernels can index them directly; the scalar
 operations below cast back to int.  They are built from GF(2)-linear maps
 (multiplication by a constant, the trace) tabulated by linear_table, so a
 field costs O(2^m) array work and about 2^(m/2) Python steps.
+
+GF(2)-quadratic maps, such as x -> x^(2^h+1) and the closed Weil sums'
+character, are tabulated the same way by quadratic_table: the map itself is
+evaluated at about 2^(m/2+1) points, and XOR doublings of its polar form
+fill in the rest, so no whole-field remainder or random gather is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -420,18 +426,24 @@ def trace_of_antilog(ctx: FieldCtx) -> np.ndarray:
 
 
 def exponent_table(ctx: FieldCtx, t: int) -> np.ndarray:
-    """E[i] = t*i mod (q-1) for i < q-1: log(x^t) at x = g^i, in log order."""
+    """E[i] = t*i mod (q-1) for i < q-1: log(x^t) at x = g^i, in log order.
+
+    With S = 2^(m/2) and i = r*S + c, E[i] is (r*S*t mod (q-1)) + (c*t mod (q-1)),
+    less q-1 when the sum reaches it: about 2^(m/2+1) remainders and one
+    broadcast add, with no division over the field.
+    """
     t = _as_int(t, "t")
 
     def build():
-        return np.arange(ctx.n_units, dtype=np.int64) * (t % ctx.n_units) % ctx.n_units
+        n = ctx.n_units
+        step = 1 << (ctx.m // 2)
+        rows = np.arange(-(-n // step), dtype=np.int64) * (step * t % n) % n
+        cols = np.arange(step, dtype=np.int64) * (t % n) % n
+        e = (rows[:, None] + cols).reshape(-1)[:n]
+        np.subtract(e, n, out=e, where=e >= n)
+        return e
 
     return _cached(ctx, ("exp", t), build)
-
-
-def dual_of_antilog(ctx: FieldCtx) -> np.ndarray:
-    """dual_coordinates at g^i for i < q-1: the Walsh bin of each unit, in log order."""
-    return _cached(ctx, "dual_alog", lambda: dual_coordinates(ctx)[ctx.antilog_table])
 
 
 def power_table(ctx: FieldCtx, t: int) -> np.ndarray:
@@ -460,16 +472,98 @@ def mul_vec(ctx: FieldCtx, c: int, v: np.ndarray) -> np.ndarray:
 
 
 def linear_table(images) -> np.ndarray:
-    """f(x) for every x, as int64[2^m], for the GF(2)-linear map f with
-    f(e_j) = images[j].
+    """f(x) for every x, as an array of length 2^m, for the GF(2)-linear map f
+    with f(e_j) = images[j].
 
-    The table for the first j basis elements doubles to the table for
-    j + 1 by XOR with f(e_j), in O(2^m).
+    images[j] may be an int or a vector of w ints, giving a table of shape
+    (2^m, w); the table keeps an integer dtype of images and is int64
+    otherwise.  The table for the first j basis elements doubles to the
+    table for j + 1 by XOR with f(e_j), in O(2^m).
     """
-    out = np.zeros(1 << len(images), dtype=np.int64)
+    images = np.asarray(images)
+    if images.dtype.kind not in "iu":
+        images = images.astype(np.int64)
+    out = np.zeros((1 << len(images),) + images.shape[1:], dtype=images.dtype)
     for j, image in enumerate(images):
         np.bitwise_xor(out[:1 << j], image, out=out[1 << j:2 << j])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_points(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points quadratic_table evaluates at, k = m // 2: l < 2^k, then
+    u << k for u < 2^(m-k), then e_i + e_(k+j) for i < k, j < m - k; and the
+    places of e_i and e_(k+j) among them."""
+    k = m // 2
+    bits = 1 << np.arange(m, dtype=np.int64)
+    points = np.concatenate([
+        np.arange(1 << k, dtype=np.int64),
+        np.arange(1 << (m - k), dtype=np.int64) << k,
+        (bits[:k, None] | bits[k:]).reshape(-1),
+    ])
+    arrays = points, bits[:k, None], (1 << k) + bits[:m - k]
+    for a in arrays:
+        a.setflags(write=False)  # shared by every caller through the cache
+    return arrays
+
+
+def quadratic_table(f, m: int, dtype) -> np.ndarray:
+    """f(x) for every x < 2^m, as dtype[2^m], for a GF(2)-quadratic map f.
+
+    f takes an int64 array of points and returns their images, ints within
+    the range of dtype (bits, or field elements).  f is quadratic when its
+    polar form B(x, y) = f(x+y) + f(x) + f(y) + f(0) is bilinear, as for
+    x -> x^(2^h+1), where (x+y)^(2^h+1) = x^(2^h+1) + y^(2^h+1) + x^(2^h) y +
+    x y^(2^h), and for any quadratic map composed with an affine one.
+
+    Split x = u << k | l with k = m // 2 and l < 2^k.  Then
+
+        f(x) = f(l) + f(u << k) + f(0) + B(l, u << k),
+
+    and B(l, u << k) is the sum of beta[i, j] = B(e_i, e_(k+j)) over the set
+    bits l_i and u_j.  So f is called once, at l < 2^k, at u << k and at the
+    k(m-k) points e_i + e_(k+j) that give beta: about 2^(m/2+1) + m^2/4
+    points.  linear_table of beta gives, for every l, the images
+    B(l, e_(k+j)) of the basis of u under the linear map u -> B(l, u << k),
+    and m - k doublings of the row f(l), as in linear_table, fill in the
+    rest.
+    """
+    k = m // 2
+    points, at_low, at_high = _quadratic_points(m)
+    vals = np.asarray(f(points)).astype(dtype, copy=False)
+    f_low, f_high = vals[:1 << k], vals[1 << k:(1 << k) + (1 << (m - k))]
+    f0 = f_low[0]
+    beta = vals[len(f_low) + len(f_high):].reshape(k, m - k) ^ vals[at_low] ^ vals[at_high] ^ f0
+    cols = linear_table(beta)  # cols[l, j] = B(l, e_(k+j))
+    out = np.empty((1 << (m - k), 1 << k), dtype=dtype)
+    out[0] = f_low
+    for j in range(m - k):
+        np.bitwise_xor(out[:1 << j], cols[:, j], out=out[1 << j:2 << j])
+    out ^= (f_high ^ f0)[:, None]
+    return out.reshape(-1)
+
+
+def power_map_table(ctx: FieldCtx, h: int) -> np.ndarray:
+    """x^(2^h+1) for every x in the field, as int32[q], 0 <= h < m.
+
+    The map is GF(2)-quadratic, so quadratic_table fills it from about
+    2^(m/2+1) powers taken by the log route; no remainder is taken and no
+    table is gathered over the whole field.  The field holds the table of
+    the latest h only: the codes of one h (d0, d1, full) share it, and at
+    m = 20 a field holds 4 MB for it rather than 4 MB per h.
+    """
+    h = _as_int(h, "h")
+    if not 0 <= h < ctx.m:
+        raise ValueError(f"h={h!r} must be in [0, {ctx.m})")
+    t = (1 << h) + 1
+
+    def power(points):
+        return np.where(points, ctx.antilog_table[ctx.log_table[points] * t % ctx.n_units], 0)
+
+    held = ctx._cache.get("powmap")
+    if held is None or held[0] != h:
+        held = ctx._cache["powmap"] = (h, quadratic_table(power, ctx.m, np.int32))
+    return held[1]
 
 
 def dual_coordinates(ctx: FieldCtx) -> np.ndarray:

@@ -11,8 +11,10 @@ E[i] = (2^h+1)*i mod (2^m-1) from gf2m.exponent_table, and that of b*x is
 Tr(g^(log b + i)); both are gathers from gf2m.trace_of_antilog, so no field
 multiplication runs.  It stays a literal sum: every x contributes its own
 term exactly once, read from the core tables alone, and nothing of the
-closed route (_regime, gf2m.gf2_solver) is called, so the two routes remain
-independent checks of each other.
+closed route (_regime, gf2m.gf2_solver, gf2m.quadratic_table) is called, so
+the two routes remain independent checks of each other.  The all-b direct
+kernel scatters the same log-order bits into x order through the antilog
+table, then into Walsh bins through gf2m.dual_coordinates.
 
 Both regimes of the closed form are one computation.  With q = 2^h, the
 inputs are first normalised to (a', b') and a constant t in {0, 1}; then
@@ -23,7 +25,9 @@ x0 of the affine equation
 
 namely S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0), and S_h(a, b) = 0 when
 the equation has no solution.  The character factor is the same at every
-solution, so any x0 serves, and b = 0 needs no case of its own.
+solution, so any x0 serves, and b = 0 needs no case of its own.  For all b
+at once, x0 is affine in b, so b -> chi(a'*x0^(q+1) + t*x0) is GF(2)-quadratic
+in b and gf2m.quadratic_table tabulates it from about 2^(m/2+1) values.
 
 * m/h even (m = 2e, eps = (-1)^(e/h)): (a', b') = (a, b) and t = 0.  The
   scale is eps*2^e when a is not a (q+1)-th power (the left side is then a
@@ -177,7 +181,7 @@ def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
     m = ctx.m
     if (m // h) % 2:
         raise ValueError(f"subfield image counts need m/h even, got m={m} h={h}")
-    powers = gf2m.power_table(ctx, (1 << h) + 1)
+    powers = gf2m.power_map_table(ctx, h)
     t0 = int((ctx.trace_table[powers] == 0).sum())
     t1 = ctx.q - t0
     eps = epsilon(m, h)
@@ -200,15 +204,16 @@ def weil_sum_direct_all_b(ctx: gf2m.FieldCtx, h: int, a: int) -> np.ndarray:
 
     Tr(b*x) = parity(bits(b) & B[x]) for the dual-coordinate map B, so the
     sum over x becomes a Walsh transform of the character values binned by
-    B[x]: the log-order bits of weil_sum_direct go to the bins B[g^i]
-    (gf2m.dual_of_antilog) and x = 0 to bin 0.  This is still a direct
-    evaluation (every x contributes exactly once); only the summation order
-    changes.
+    B[x]: the log-order bits of weil_sum_direct are scattered into x order
+    through the antilog table (x = 0 keeps bit 0), then into the bins B[x]
+    through gf2m.dual_coordinates.  This is still a direct evaluation (every
+    x contributes exactly once); only the summation order changes.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
-    bits = np.zeros(ctx.q, dtype=np.uint8)  # bin B[0] = 0 holds x = 0, bit 0
-    # B is a bijection: one unit g^i per bin
-    bits[gf2m.dual_of_antilog(ctx)] = _power_character(ctx, h, a)
+    by_x = np.zeros(ctx.q, dtype=np.uint8)
+    by_x[ctx.antilog_table] = _power_character(ctx, h, a)
+    bits = np.empty_like(by_x)
+    bits[gf2m.dual_coordinates(ctx)] = by_x  # B is a bijection: one x per bin
     signs = bits.view(np.int8)
     signs *= -2
     signs += 1  # (-1)^bit
@@ -223,8 +228,10 @@ def weil_sum_closed_all_b(
     The same closed form as weil_sum_closed, for all b at once: the
     right-hand side (u*b + t)^q = u^q * b^q + t is GF(2)-linear in b up to
     the constant t, so its reduction is tabulated from the reductions of m
-    basis images and of t, then one character table and one gather.  Every
-    entry is exact and signed, so exact is all True.
+    basis images and of t.  The solution x0(b) is then affine in b, so the
+    character bit b -> Tr(a'*x0(b)^(q+1) + t*x0(b)) is GF(2)-quadratic in b,
+    and gf2m.quadratic_table fills it from about 2^(m/2+1) values taken by
+    the log route.  Every entry is exact and signed, so exact is all True.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
     a1, u, t, scale, unique, reduce = _regime(ctx, h, a)
@@ -234,12 +241,15 @@ def weil_sum_closed_all_b(
     unsolvable = reduced >= ctx.q
     if unique and unsolvable.any():
         raise RuntimeError("permutation branch left unsolvable right-hand sides")
-    # character bit of a1*x^(q+1) + t*x for every x, with log(x^(q+1)) = (q+1)*log(x)
-    logs = int(ctx.log_table[a1]) + (ctx.log_table * (q + 1)) % ctx.n_units
-    bits = gf2m.trace_of_antilog(ctx)[logs]
-    bits[0] = 0
-    if t:
-        bits ^= ctx.trace_table
-    values = np.where(bits[reduced & (ctx.q - 1)], -scale, scale)
-    values[unsolvable] = 0
+    log_a1 = int(ctx.log_table[a1])
+
+    def character(bs):
+        x0 = reduced[bs] & (ctx.q - 1)
+        logs = (log_a1 + ctx.log_table[x0] * (q + 1)) % ctx.n_units  # log(a1*x0^(q+1))
+        bits = np.where(x0, ctx.trace_table[ctx.antilog_table[logs]], 0)
+        return bits ^ ctx.trace_table[x0] if t else bits
+
+    sel = gf2m.quadratic_table(character, ctx.m, np.uint8)
+    sel[unsolvable] = 2
+    values = np.array([scale, -scale, 0])[sel]
     return values, np.ones(ctx.q, dtype=bool)

@@ -82,6 +82,9 @@ def test_build_code_rejects_elements_outside_the_units():
     for bad in (0, -1, ctx.q, 40):
         with pytest.raises(ValueError, match=f"element {bad} is not a nonzero element"):
             code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, (3, bad, 5)))
+    # of several, the first in defining-set order is named
+    with pytest.raises(ValueError, match=r"element 40 is not a nonzero element of GF\(2\^5\)"):
+        code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, (3, 40, 0, 5)))
 
 
 def test_defining_set_refuses_floats():
@@ -283,6 +286,17 @@ def _every_code(ctx):
             yield h, code_mod.punctured_code(ctx, h)
 
 
+def test_build_code_columns_are_literal_powers():
+    for m in range(2, 11):
+        ctx = gf2m.build_field(m)
+        for h, lc in _every_code(ctx):
+            if lc.h == 0:
+                continue
+            t = (1 << h) + 1
+            literal = [gf2m.pow(ctx, int(d), t) for d in lc.defset.elements]
+            assert lc.phis.dtype == np.int64 and lc.phis.tolist() == literal, (m, h, lc.defset.kind)
+
+
 def test_walsh_route_equals_literal_column_count():
     # the per-coordinate count sum_phi Tr(x*phi) is the oracle for the
     # Walsh route, over every variant and h, under two moduli per degree
@@ -295,8 +309,14 @@ def test_walsh_route_equals_literal_column_count():
                     ctx.trace_table[gf2m.mul_vec(ctx, p, xs)].astype(np.int64)
                     for p in lc.phis
                 )
-                assert np.array_equal(code_mod._weights_by_message(lc), literal), (
-                    m, ctx.modulus, h, lc.defset.kind)
+                case = (m, ctx.modulus, h, lc.defset.kind)
+                assert np.array_equal(code_mod._weights_by_message(lc), literal), case
+                # weight_distribution transforms in plain coordinates; its
+                # counts are still the histogram of the message weights
+                counts = np.bincount(literal)
+                want = {int(w): int(counts[w]) for w in np.flatnonzero(counts)}
+                dist = code_mod.weight_distribution(lc)
+                assert dist.counts == want and dist.d_min == min(w for w in want if w), case
 
 
 @st.composite

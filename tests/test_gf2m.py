@@ -533,6 +533,102 @@ def test_exponent_table_against_literal_powers():
             assert gf2m.exponent_table(ctx, t) is e
 
 
+def test_exponent_table_m20_against_the_remainder():
+    ctx = gf2m.build_field(20)
+    n = ctx.n_units
+    for t in (3, 17, 33, 1025):
+        e = gf2m.exponent_table(ctx, t)
+        assert e.dtype == np.int64 and e.shape == (n,)
+        assert np.array_equal(e, np.arange(n, dtype=np.int64) * t % n), t
+
+
+def _literal_quadratic(m, pairs, linear, const):
+    """f(x) = const + sum of linear[i] over bits x_i + sum of pairs[i, j] over
+    bit pairs x_i x_j, i < j, evaluated bit by bit at every x < 2^m."""
+    xs = np.arange(1 << m, dtype=np.int64)
+    x_bits = [(xs >> i) & 1 == 1 for i in range(m)]
+    out = np.full(1 << m, const, dtype=np.int64)
+    for i in range(m):
+        out ^= np.where(x_bits[i], linear[i], 0)
+        for j in range(i + 1, m):
+            out ^= np.where(x_bits[i] & x_bits[j], pairs[i][j], 0)
+    return out
+
+
+def test_quadratic_table_against_literal_evaluation():
+    rng = random.Random(11)
+    for m in range(2, 15):
+        for dtype, width, const in ((np.uint8, 1, 1), (np.uint8, 1, 0), (np.int32, 20, 0xABCDE)):
+            pairs = [[rng.getrandbits(width) for _ in range(m)] for _ in range(m)]
+            linear = [rng.getrandbits(width) for _ in range(m)]
+            literal = _literal_quadratic(m, pairs, linear, const)
+            calls = []
+
+            def f(points):
+                calls.append(points.size)
+                return literal[points]
+
+            table = gf2m.quadratic_table(f, m, dtype)
+            assert table.dtype == dtype and table.shape == (1 << m,)
+            assert np.array_equal(table, literal), (m, dtype)
+            k = m // 2
+            assert calls == [(1 << k) + (1 << (m - k)) + k * (m - k)]
+
+
+def test_quadratic_table_of_a_field_map():
+    # x -> a*x^(2^h+1) + b*x + c, with f(0) = c != 0, against scalar arithmetic
+    for m in (5, 8, 9):
+        ctx = gf2m.build_field(m)
+        for h in range(m):
+            a, b, c = 3 + h, 7 * h + 1, ctx.q - 1 - h
+            literal = np.array([
+                gf2m.mul(ctx, a, gf2m.pow(ctx, x, (1 << h) + 1)) ^ gf2m.mul(ctx, b, x) ^ c
+                for x in range(ctx.q)])
+            table = gf2m.quadratic_table(lambda p: literal[p], m, np.int64)
+            assert np.array_equal(table, literal), (m, h)
+
+
+def _assert_power_map_tables(ctx, hs):
+    for h in hs:
+        table = gf2m.power_map_table(ctx, h)
+        assert table.dtype == np.int32 and table.shape == (ctx.q,), (ctx.m, h)
+        assert np.array_equal(table, gf2m.power_table(ctx, (1 << h) + 1)), (ctx.m, ctx.modulus, h)
+
+
+def test_power_map_table_every_divisor_m2_to_m20():
+    for m in range(2, 21):
+        ctx = gf2m.build_field(m)
+        _assert_power_map_tables(ctx, [h for h in range(1, m) if m % h == 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_irreducible_modulus(12))
+def test_power_map_table_in_a_random_basis(modulus):
+    ctx = gf2m.build_field(gf2m.poly_degree(modulus), modulus)
+    _assert_power_map_tables(ctx, range(ctx.m))
+
+
+def test_power_map_table_validation():
+    ctx = gf2m.build_field(6)
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="must be in"):
+            gf2m.power_map_table(ctx, bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        gf2m.power_map_table(ctx, 2.0)
+    assert np.array_equal(gf2m.power_map_table(ctx, np.int64(2)), gf2m.power_map_table(ctx, 2))
+
+
+def test_power_map_table_holds_the_latest_h():
+    ctx = gf2m.build_field(8)
+    t1 = gf2m.power_map_table(ctx, 1)
+    assert gf2m.power_map_table(ctx, 1) is t1
+    t2 = gf2m.power_map_table(ctx, 2)
+    assert gf2m.power_map_table(ctx, 2) is t2
+    again = gf2m.power_map_table(ctx, 1)
+    assert again is not t1 and np.array_equal(again, t1)
+    assert gf2m.power_map_table(gf2m.build_field(8), 1) is not again  # one table per field
+
+
 def _literal_wht(v: np.ndarray) -> np.ndarray:
     z = np.arange(v.size)
     masked = np.bitwise_and.outer(z, z)

@@ -166,6 +166,35 @@ def test_batch_direct_matches_scalar_direct_m20():
                 assert weil.weil_sum_direct(ctx, h, a, b) == int(d[b])
 
 
+def test_closed_equals_direct_all_b_m13_to_m20():
+    # criterion 6 is exhaustive up to m = 12; above it, two a per divisor
+    rng = np.random.default_rng(1320)
+    for m in range(13, 21):
+        ctx = gf2m.build_field(m)
+        for h in [h for h in range(1, m) if m % h == 0]:
+            for a in rng.integers(1, ctx.q, size=2):
+                v, ex = weil.weil_sum_closed_all_b(ctx, h, int(a))
+                d = weil.weil_sum_direct_all_b(ctx, h, int(a))
+                assert v.dtype == d.dtype == np.int64, (m, h)
+                assert ex.all() and np.array_equal(v, d), (m, h, int(a))
+
+
+def test_direct_kernels_call_nothing_of_the_closed_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route reached the closed route")
+
+    ctx = gf2m.build_field(8)
+    expect = {(h, b): _oracle_sum(8, ctx.modulus, h, 5, b) for h in (1, 2, 4) for b in (0, 9)}
+    monkeypatch.setattr(weil, "_regime", refuse)
+    for name in ("gf2_solver", "quadratic_table", "power_map_table"):
+        monkeypatch.setattr(gf2m, name, refuse)
+    for (h, b), want in expect.items():
+        assert weil.weil_sum_direct(ctx, h, 5, b) == want
+        assert weil.weil_sum_direct_all_b(ctx, h, 5)[b] == want
+    with pytest.raises(AssertionError, match="closed route"):
+        weil.weil_sum_closed_all_b(ctx, 1, 5)
+
+
 def test_even_regime_value_set():
     # exact values are 0 or +/-2^e or +/-2^(e+h)
     for m, h in ((4, 1), (6, 1), (8, 2)):
