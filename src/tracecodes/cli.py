@@ -39,11 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, required=True, help="extension degree")
         sp.add_argument("--h", type=int, required=True, help="proper divisor of m")
         if variant:
-            sp.add_argument(
-                "--variant",
-                choices=[code_mod.D0, code_mod.D1, code_mod.FULL_STAR, code_mod.PUNCTURED_IMAGE],
-                required=True,
-            )
+            sp.add_argument("--variant", choices=code_mod.KINDS, required=True)
         sp.add_argument("--modulus", type=_int_flag, default=None,
                         help="bit-encoded irreducible polynomial (default: smallest)")
         sp.add_argument("--format", choices=[TEXT, MACHINE], default=TEXT)
@@ -126,17 +122,10 @@ def _cmd_weil(args) -> int:
     return 0
 
 
-def _pick_source(args) -> str | None:
-    if args.source is not None:
-        return args.source
-    mh = args.m // args.h
-    return predict._applicable_source(args.variant, mh, args.m)
-
-
 def _cmd_verify(args) -> int:
     lc = _make_code(args)
     dist = code_mod.weight_distribution(lc)
-    source = _pick_source(args)
+    source = args.source or predict._applicable_source(args.variant, args.m // args.h, args.m)
     if source is None:
         _emit([("status", predict.INAPPLICABLE),
                ("note", f"no table covers variant={args.variant} at m={args.m} h={args.h}")],

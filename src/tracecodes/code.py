@@ -102,7 +102,7 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
     elif kind == FULL_STAR:
         els = xs[1:]
     elif kind == PUNCTURED_IMAGE:
-        h = gf2m._validate_subfield_degree(ctx, h)
+        h = gf2m._validate_subfield_degree(ctx.m, h)
         if (ctx.m // h) % 2:
             raise ValueError(
                 f"punctured image needs m/h even; for m={ctx.m}, h={h} the map "
@@ -187,7 +187,7 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
     named in the ValueError.  The columns are one gather from
     gf2m.power_map_table, widened to int64.
     """
-    h = gf2m._validate_subfield_degree(ctx, h)
+    h = gf2m._validate_subfield_degree(ctx.m, h)
     if len(defset) == 0:
         raise ValueError("defining set is empty")
     els = defset.elements
@@ -209,7 +209,7 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
 
 def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
     """Code of length (2^m - 1)/(2^h + 1) on the power-map image, identity columns."""
-    h = gf2m._validate_subfield_degree(ctx, h)
+    h = gf2m._validate_subfield_degree(ctx.m, h)
     if ctx.m <= 2:
         raise ValueError("punctured construction needs m > 2")
     ds = defining_set(ctx, PUNCTURED_IMAGE, h)
@@ -230,7 +230,7 @@ def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:
     from the signed closed form with one shared elimination, so the weight
     costs O(m^2) bit operations at every m.
     """
-    if a not in (0, 1):
+    if gf2m._as_int(a, "a") not in (0, 1):
         raise ValueError("a selects the trace-0 or trace-1 defining set; use 0 or 1")
     b = gf2m._check_element(ctx, b, "b")
     if b == 0:

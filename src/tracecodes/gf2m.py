@@ -37,17 +37,6 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] polynomials."""
-    r = 0
-    while a:
-        if a & 1:
-            r ^= b
-        a >>= 1
-        b <<= 1
-    return r
-
-
 def poly_mod(a: int, mod: int) -> int:
     dm = poly_degree(mod)
     da = poly_degree(a)
@@ -55,6 +44,20 @@ def poly_mod(a: int, mod: int) -> int:
         a ^= mod << (da - dm)
         da = poly_degree(a)
     return a
+
+
+def _raw_mul(a: int, b: int, modulus: int, m: int) -> int:
+    # Table-free a * b mod modulus, for a and b of degree < m.
+    r = 0
+    top = 1 << m
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return r
 
 
 def poly_gcd(a: int, b: int) -> int:
@@ -85,7 +88,7 @@ def irreducibility_witness(p: int) -> tuple[int, int] | None:
     d = poly_degree(p)
     s = 0b10  # the polynomial x
     for k in range(1, d // 2 + 1):
-        s = poly_mod(poly_mul(s, s), p)  # x^(2^k) mod p
+        s = _raw_mul(s, s, p, d)  # x^(2^k) mod p
         g = poly_gcd(p, s ^ 0b10)
         if g != 1:
             return k, g
@@ -176,20 +179,6 @@ def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None
 # ---------------------------------------------------------------------------
 # Field context.
 # ---------------------------------------------------------------------------
-
-def _raw_mul(a: int, b: int, modulus: int, m: int) -> int:
-    # Table-free multiply, used only while the tables are being built.
-    r = 0
-    top = 1 << m
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= modulus
-    return r
-
 
 def _raw_pow(a: int, k: int, modulus: int, m: int) -> int:
     r = 1
@@ -320,10 +309,11 @@ def _as_int(value, name: str) -> int:
         raise ValueError(f"{name}={value!r} is not an integer") from None
 
 
-def _validate_subfield_degree(ctx: FieldCtx, h: int) -> int:
+def _validate_subfield_degree(m: int, h: int) -> int:
+    """h as an int that is a positive proper divisor of m, else ValueError."""
     h = _as_int(h, "h")
-    if not 1 <= h < ctx.m or ctx.m % h:
-        raise ValueError(f"h={h!r} must be a positive proper divisor of m={ctx.m}")
+    if not 1 <= h < m or m % h:
+        raise ValueError(f"h={h!r} must be a positive proper divisor of m={m}")
     return h
 
 
@@ -347,18 +337,11 @@ def mul(ctx: FieldCtx, a: int, b: int) -> int:
     return int(ctx.antilog_table[i % ctx.n_units])
 
 
-def inv(ctx: FieldCtx, a: int) -> int:
-    a = _check_element(ctx, a)
-    if a == 0:
-        raise ValueError("0 has no multiplicative inverse")
-    return int(ctx.antilog_table[-int(ctx.log_table[a]) % ctx.n_units])
-
-
 def pow(ctx: FieldCtx, a: int, k: int) -> int:  # noqa: A001 - field exponentiation
     a = _check_element(ctx, a)
     k = _as_int(k, "k")
     if k < 0:
-        raise ValueError("negative exponents are not supported; combine with inv")
+        raise ValueError("negative exponents are not supported")
     if a == 0:
         return 1 if k == 0 else 0
     return int(ctx.antilog_table[(int(ctx.log_table[a]) * k) % ctx.n_units])
@@ -370,7 +353,7 @@ def trace(ctx: FieldCtx, a: int) -> int:
 
 def relative_trace(ctx: FieldCtx, h: int, a: int) -> int:
     """Trace of a from GF(2^m) onto the subfield GF(2^h), h a proper divisor of m."""
-    h = _validate_subfield_degree(ctx, h)
+    h = _validate_subfield_degree(ctx.m, h)
     a = _check_element(ctx, a)
     r = 0
     cur = a
@@ -406,14 +389,6 @@ def _cached(ctx: FieldCtx, key, build):
         return value
 
 
-def antilog_doubled(ctx: FieldCtx) -> np.ndarray:
-    """antilog over exponents 0 .. 2*(q-1)-2, so log sums need no reduction;
-    int64, 16 MB at m = 20, and only mul_vec reads it."""
-    def build():
-        return np.concatenate([ctx.antilog_table, ctx.antilog_table[:-1]])
-    return _cached(ctx, "alog2", build)
-
-
 def trace_of_antilog(ctx: FieldCtx) -> np.ndarray:
     """Tr(g^i) for exponents i = 0 .. 2*(q-1)-2 (uint8), so log sums need no reduction.
 
@@ -444,31 +419,6 @@ def exponent_table(ctx: FieldCtx, t: int) -> np.ndarray:
         return e
 
     return _cached(ctx, ("exp", t), build)
-
-
-def power_table(ctx: FieldCtx, t: int) -> np.ndarray:
-    """x^t for every x in the field, t >= 1."""
-    t = _as_int(t, "t")
-    if t < 1:
-        raise ValueError("power_table needs t >= 1")
-
-    def build():
-        out = np.zeros(ctx.q, dtype=np.int64)
-        out[1:] = ctx.antilog_table[(ctx.log_table[1:] * t) % ctx.n_units]
-        return out
-
-    return _cached(ctx, ("pow", t), build)
-
-
-def mul_vec(ctx: FieldCtx, c: int, v: np.ndarray) -> np.ndarray:
-    """c * v elementwise for an array of field elements."""
-    c = _check_element(ctx, c)
-    if c == 0:
-        return np.zeros_like(v)
-    out = np.zeros_like(v)
-    nz = v != 0
-    out[nz] = antilog_doubled(ctx)[int(ctx.log_table[c]) + ctx.log_table[v[nz]]]
-    return out
 
 
 def linear_table(images) -> np.ndarray:

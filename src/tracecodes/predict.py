@@ -90,12 +90,11 @@ class VerificationReport:
 
 
 def _validate_params(m: int, h: int) -> tuple[int, int]:
-    m, h = gf2m._as_int(m, "m"), gf2m._as_int(h, "h")
+    # no MAX_DEGREE bound: tables are evaluated past the fields gf2m builds
+    m = gf2m._as_int(m, "m")
     if m < 2:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
-    if not 1 <= h < m or m % h:
-        raise ValueError(f"h={h!r} must be a positive proper divisor of m={m}")
-    return m, h
+    return m, gf2m._validate_subfield_degree(m, h)
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -56,14 +56,14 @@ from . import gf2m
 @dataclass(frozen=True)
 class WeilSumValue:
     """A closed-form value.  Every value is exact and signed, so is_exact is
-    always True; the wrapper stays for callers that still read it."""
+    always True; the benchmark reads .value and .is_exact."""
 
     value: int
     is_exact = True
 
 
 def _validate_query(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> tuple[int, int, int]:
-    h = gf2m._validate_subfield_degree(ctx, h)
+    h = gf2m._validate_subfield_degree(ctx.m, h)
     a = gf2m._check_element(ctx, a, "a")
     b = gf2m._check_element(ctx, b, "b")
     if a == 0:
@@ -177,7 +177,7 @@ def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
     Counted directly over the field, then asserted against the closed forms
     T0 = 2^(m-1) - eps*2^(e+h-1), T1 = 2^(m-1) + eps*2^(e+h-1).
     """
-    h = gf2m._validate_subfield_degree(ctx, h)
+    h = gf2m._validate_subfield_degree(ctx.m, h)
     m = ctx.m
     if (m // h) % 2:
         raise ValueError(f"subfield image counts need m/h even, got m={m} h={h}")
@@ -231,7 +231,8 @@ def weil_sum_closed_all_b(
     basis images and of t.  The solution x0(b) is then affine in b, so the
     character bit b -> Tr(a'*x0(b)^(q+1) + t*x0(b)) is GF(2)-quadratic in b,
     and gf2m.quadratic_table fills it from about 2^(m/2+1) values taken by
-    the log route.  Every entry is exact and signed, so exact is all True.
+    the log route.  Every entry is exact and signed, so exact is all True;
+    the benchmark reads the (values, exact) pair.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
     a1, u, t, scale, unique, reduce = _regime(ctx, h, a)

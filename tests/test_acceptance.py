@@ -16,6 +16,8 @@ import pytest
 from tracecodes import code as code_mod
 from tracecodes import gf2m, predict, weil
 
+import oracles
+
 SWEEP_MS = range(3, 15)
 
 
@@ -200,7 +202,7 @@ def test_criterion_9_property_suite():
         xor = np.arange(q)[:, None] ^ np.arange(q)[None, :]
         assert (t[:, xor] == t[:, :, None] ^ t[:, None, :]).all()  # distributivity
         for x in range(1, q):
-            assert t[x, gf2m.inv(ctx, x)] == 1
+            assert t[x, gf2m.pow(ctx, x, q - 2)] == 1
     # trace linearity and Frobenius invariance
     for m in range(2, 11):
         ctx = gf2m.build_field(m)
@@ -231,7 +233,7 @@ def test_criterion_9_property_suite():
             weights = np.zeros(ctx.q, dtype=np.int64)
             xs = np.arange(ctx.q, dtype=np.int64)
             for phi in lc.phis:
-                weights += ctx.trace_table[gf2m.mul_vec(ctx, int(phi), xs)]
+                weights += ctx.trace_table[oracles.mul_vec(ctx, int(phi), xs)]
             for b in range(1, ctx.q):
                 assert code_mod.codeword_weight_formula(ctx, h, a, b) == int(
                     weights[b]

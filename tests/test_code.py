@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from tracecodes import code as code_mod
 from tracecodes import gf2m, predict, weil
 
+import oracles
+
 
 def _dist(ctx, h, kind):
     lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
@@ -259,6 +261,26 @@ def test_weight_formula_validation():
         code_mod.codeword_weight_formula(ctx, 1, 0, 0)
     with pytest.raises(ValueError, match="0 or 1"):
         code_mod.codeword_weight_formula(ctx, 1, 2, 3)
+    for a in (0.0, 1.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            code_mod.codeword_weight_formula(ctx, 1, a, 3)
+
+
+@pytest.mark.parametrize("h", [0, 6, 4, 2.0])
+def test_every_layer_refuses_h_with_one_message(h):
+    # h = 0, h = m, a non-divisor and a float, at m = 6
+    ctx = gf2m.build_field(6)
+    calls = (
+        lambda: predict.predict_distribution(6, h, predict.T3),
+        lambda: code_mod.build_code(ctx, h, code_mod.defining_set(ctx, code_mod.D0)),
+        lambda: weil.weil_sum_closed(ctx, h, 1),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^h={h!r} ") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
 
 
 def test_basis_independence_of_distributions():
@@ -306,7 +328,7 @@ def test_walsh_route_equals_literal_column_count():
             xs = np.arange(ctx.q, dtype=np.int64)
             for h, lc in _every_code(ctx):
                 literal = sum(
-                    ctx.trace_table[gf2m.mul_vec(ctx, p, xs)].astype(np.int64)
+                    ctx.trace_table[oracles.mul_vec(ctx, p, xs)].astype(np.int64)
                     for p in lc.phis
                 )
                 case = (m, ctx.modulus, h, lc.defset.kind)
@@ -335,7 +357,7 @@ def _assert_rank_oracle(ctx):
         # the rank of every column in its given order, duplicates and all
         assert lc.k == gf2m.gf2_rank(lc.phis.tolist(), ctx.m), case
         if lc.h == 0:
-            image = np.unique(gf2m.power_table(ctx, (1 << h) + 1)[1:])
+            image = np.unique(oracles.power_table(ctx, (1 << h) + 1)[1:])
             assert lc.defset.elements.dtype == image.dtype, case
             assert np.array_equal(lc.defset.elements, image), case
         else:
@@ -414,7 +436,7 @@ def test_punctured_image_oracle_m14_to_m20():
         ctx = gf2m.build_field(m)
         for h in [h for h in range(1, m) if m % h == 0 and (m // h) % 2 == 0]:
             pc = code_mod.punctured_code(ctx, h)
-            image = np.unique(gf2m.power_table(ctx, (1 << h) + 1)[1:])
+            image = np.unique(oracles.power_table(ctx, (1 << h) + 1)[1:])
             assert pc.defset.elements.dtype == image.dtype, (m, h)
             assert np.array_equal(pc.defset.elements, image), (m, h)
             assert pc.k == gf2m.gf2_rank(pc.phis.tolist(), m) == (h if m == 2 * h else m), (m, h)
@@ -444,7 +466,7 @@ def test_three_routes_agree_in_a_random_basis(query):
     # per-codeword formula against the Walsh route and the literal column count
     lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, (code_mod.D0, code_mod.D1)[t]))
     walsh = int(code_mod._weights_by_message(lc)[b])
-    literal = int(ctx.trace_table[gf2m.mul_vec(ctx, b, lc.phis)].sum())
+    literal = int(ctx.trace_table[oracles.mul_vec(ctx, b, lc.phis)].sum())
     assert code_mod.codeword_weight_formula(ctx, h, t, b) == walsh == literal
 
 

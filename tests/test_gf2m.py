@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from tracecodes import gf2m
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # Naive polynomial oracle: coefficient lists, schoolbook arithmetic.
@@ -54,12 +56,15 @@ def _irreducible_oracle(p: int) -> bool:
     return all(_mod_oracle(p, f) != 0 for f in range(2, 1 << d))
 
 
-def test_poly_mul_against_oracle():
+def test_raw_mul_against_oracle():
+    # the one table-free multiply, behind the irreducibility test and the tables
     rng = random.Random(7)
     for _ in range(300):
+        mod = rng.randrange(1 << 12, 1 << 13)
         a = rng.randrange(0, 1 << 12)
         b = rng.randrange(0, 1 << 12)
-        assert gf2m.poly_mul(a, b) == _mul_oracle(a, b)
+        expect = _mod_oracle(_mul_oracle(a, b), mod)
+        assert gf2m._raw_mul(a, b, mod, 12) == expect
 
 
 def test_poly_mod_against_oracle():
@@ -162,8 +167,6 @@ def test_scalar_ops_frozen_values():
     assert gf2m.pow(ctx, 0, 5) == 0
     assert gf2m.mul(ctx, 0, 6) == 0
     assert gf2m.mul(ctx, 1, 6) == 6
-    with pytest.raises(ValueError):
-        gf2m.inv(ctx, 0)
     with pytest.raises(ValueError):
         gf2m.pow(ctx, 3, -1)
     with pytest.raises(ValueError):
@@ -281,7 +284,7 @@ def test_field_tables_spot_checked_at_m20():
 
 def _mul_table(ctx) -> np.ndarray:
     xs = np.arange(ctx.q, dtype=np.int64)
-    return np.stack([gf2m.mul_vec(ctx, a, xs) for a in range(ctx.q)])
+    return np.stack([oracles.mul_vec(ctx, a, xs) for a in range(ctx.q)])
 
 
 def test_field_axioms_exhaustive():
@@ -304,9 +307,9 @@ def test_field_axioms_exhaustive():
         assert np.array_equal(t[:, xor], t[:, :, None] ^ t[:, None, :])
         # every nonzero element has an inverse
         for a in range(1, q):
-            assert gf2m.mul(ctx, a, gf2m.inv(ctx, a)) == 1
+            assert gf2m.mul(ctx, a, gf2m.pow(ctx, a, q - 2)) == 1
         # squaring is additive
-        sq = gf2m.power_table(ctx, 2)
+        sq = oracles.power_table(ctx, 2)
         assert np.array_equal(sq[xor], sq[:, None] ^ sq[None, :])
 
 
@@ -323,7 +326,7 @@ def test_trace_linearity_and_balance():
 def test_trace_frobenius_invariance():
     for m in range(2, 13):
         ctx = gf2m.build_field(m)
-        assert np.array_equal(ctx.trace_table[gf2m.power_table(ctx, 2)], ctx.trace_table)
+        assert np.array_equal(ctx.trace_table[oracles.power_table(ctx, 2)], ctx.trace_table)
 
 
 def test_relative_trace_lands_in_subfield():
@@ -332,7 +335,7 @@ def test_relative_trace_lands_in_subfield():
         for h in hs:
             rt = np.array([gf2m.relative_trace(ctx, h, x) for x in range(ctx.q)])
             # subfield elements are the fixed points of x -> x^(2^h)
-            assert np.array_equal(gf2m.power_table(ctx, 1 << h)[rt], rt)
+            assert np.array_equal(oracles.power_table(ctx, 1 << h)[rt], rt)
 
 
 def test_relative_trace_tower():
@@ -494,15 +497,13 @@ def test_power_table_and_mul_vec():
     ctx = gf2m.build_field(6)
     xs = np.arange(ctx.q, dtype=np.int64)
     for t in (1, 2, 3, 5, 9):
-        pt = gf2m.power_table(ctx, t)
+        pt = oracles.power_table(ctx, t)
         for x in (0, 1, 2, 17, 63):
             assert int(pt[x]) == gf2m.pow(ctx, x, t)
     for c in (0, 1, 5, 40):
-        mv = gf2m.mul_vec(ctx, c, xs)
+        mv = oracles.mul_vec(ctx, c, xs)
         for x in (0, 1, 3, 62):
             assert int(mv[x]) == gf2m.mul(ctx, c, x)
-    with pytest.raises(ValueError):
-        gf2m.power_table(ctx, 0)
 
 
 def test_exponents_must_be_integers():
@@ -510,11 +511,9 @@ def test_exponents_must_be_integers():
     with pytest.raises(ValueError, match="not an integer"):
         gf2m.pow(ctx, 3, 2.5)
     with pytest.raises(ValueError, match="not an integer"):
-        gf2m.power_table(ctx, 2.0)
-    with pytest.raises(ValueError, match="not an integer"):
         gf2m.exponent_table(ctx, 3.0)
     assert gf2m.pow(ctx, 3, np.int64(7)) == gf2m.pow(ctx, 3, 7)
-    assert np.array_equal(gf2m.power_table(ctx, np.int32(3)), gf2m.power_table(ctx, 3))
+    assert np.array_equal(oracles.power_table(ctx, np.int32(3)), oracles.power_table(ctx, 3))
 
 
 def test_exponent_table_against_literal_powers():
@@ -592,7 +591,7 @@ def _assert_power_map_tables(ctx, hs):
     for h in hs:
         table = gf2m.power_map_table(ctx, h)
         assert table.dtype == np.int32 and table.shape == (ctx.q,), (ctx.m, h)
-        assert np.array_equal(table, gf2m.power_table(ctx, (1 << h) + 1)), (ctx.m, ctx.modulus, h)
+        assert np.array_equal(table, oracles.power_table(ctx, (1 << h) + 1)), (ctx.m, ctx.modulus, h)
 
 
 def test_power_map_table_every_divisor_m2_to_m20():
@@ -673,5 +672,5 @@ def test_dual_coordinates_pairing():
         parity = np.zeros_like(masked)
         for i in range(m):
             parity ^= (masked >> i) & 1
-        expect = np.stack([ctx.trace_table[gf2m.mul_vec(ctx, b, xs)] for b in range(ctx.q)])
+        expect = np.stack([ctx.trace_table[oracles.mul_vec(ctx, b, xs)] for b in range(ctx.q)])
         assert np.array_equal(parity, expect.astype(np.int64))

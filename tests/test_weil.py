@@ -97,7 +97,7 @@ def test_odd_regime_magnitude_branch():
     for h in (1, 3):
         cubes = {gf2m.pow(ctx, c, (1 << h) + 1): c for c in range(1, ctx.q)}
         for a in range(1, ctx.q, 37):
-            cinv = gf2m.inv(ctx, cubes[a])
+            cinv = gf2m.pow(ctx, cubes[a], ctx.q - 2)
             for b in range(0, ctx.q, 11):
                 got = weil.weil_sum_closed(ctx, h, a, b).value
                 assert got == weil.weil_sum_direct(ctx, h, a, b), (h, a, b)
