@@ -35,14 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, variant=True):
+    def common(sp, variant=True, fmt=True):
         sp.add_argument("--m", type=int, required=True, help="extension degree")
         sp.add_argument("--h", type=int, required=True, help="proper divisor of m")
         if variant:
             sp.add_argument("--variant", choices=code_mod.KINDS, required=True)
         sp.add_argument("--modulus", type=_int_flag, default=None,
                         help="bit-encoded irreducible polynomial (default: smallest)")
-        sp.add_argument("--format", choices=[TEXT, MACHINE], default=TEXT)
+        if fmt:
+            sp.add_argument("--format", choices=[TEXT, MACHINE], default=TEXT)
 
     sp = sub.add_parser("construct", help="build a code and print its parameters")
     common(sp)
@@ -65,16 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-max", type=int, default=12)
 
     sp = sub.add_parser("export", help="write the generator matrix as text")
-    common(sp)
+    common(sp, fmt=False)
     sp.add_argument("--out", default="-", help="output path, or - for stdout")
     return p
 
 
 def _make_code(args) -> code_mod.LinearCode:
-    ctx = gf2m.build_field(args.m, args.modulus)
-    if args.variant == code_mod.PUNCTURED_IMAGE:
-        return code_mod.punctured_code(ctx, args.h)
-    return code_mod.build_code(ctx, args.h, code_mod.defining_set(ctx, args.variant))
+    return code_mod.make_code(gf2m.build_field(args.m, args.modulus), args.h, args.variant)
 
 
 def _emit(pairs: list[tuple[str, object]], fmt: str) -> None:
@@ -123,18 +121,15 @@ def _cmd_weil(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lc = _make_code(args)
-    dist = code_mod.weight_distribution(lc)
-    source = args.source or predict._applicable_source(args.variant, args.m // args.h, args.m)
-    if source is None:
+    dist = code_mod.weight_distribution(_make_code(args))
+    report = predict.check_case(dist, args.m, args.h, args.variant, args.source)
+    if report.status == predict.INAPPLICABLE:
         _emit([("status", predict.INAPPLICABLE),
                ("note", f"no table covers variant={args.variant} at m={args.m} h={args.h}")],
               args.format)
         return 0
-    pred = predict.predict_distribution(args.m, args.h, source)
-    report = predict.verify(pred, dist, args.variant)
     _emit(
-        [("source", source), ("status", report.status), ("n", report.n),
+        [("source", report.source), ("status", report.status), ("n", report.n),
          ("k", report.k), ("d", report.d_min), ("moment", report.moment_check)],
         args.format,
     )

@@ -94,13 +94,12 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
     x -> x^t is the subgroup <g^d>, d = gcd(t, 2^m - 1), so the punctured
     set is every d-th antilog entry, sorted, with no power table.
     """
-    xs = np.arange(ctx.q, dtype=np.int64)
     if kind == D0:
-        els = xs[(ctx.trace_table == 0) & (xs > 0)]
+        els = np.flatnonzero(ctx.trace_table == 0)[1:]  # Tr(0) = 0, and 0 comes first
     elif kind == D1:
-        els = xs[ctx.trace_table == 1]
+        els = np.flatnonzero(ctx.trace_table == 1)
     elif kind == FULL_STAR:
-        els = xs[1:]
+        els = np.arange(1, ctx.q, dtype=np.int64)
     elif kind == PUNCTURED_IMAGE:
         h = gf2m._validate_subfield_degree(ctx.m, h)
         if (ctx.m // h) % 2:
@@ -221,6 +220,22 @@ def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
         n=len(ds),
         k=_rank(ctx, ds.elements),
     )
+
+
+def variants(m: int, h: int) -> tuple[str, ...]:
+    """The kinds of code defined at (m, h): d0, d1 and full, and punctured
+    when m/h is even and m > 2."""
+    h = gf2m._validate_subfield_degree(m, h)
+    return KINDS if (m // h) % 2 == 0 and m > 2 else KINDS[:3]
+
+
+def make_code(ctx: gf2m.FieldCtx, h: int, kind: str) -> LinearCode:
+    """The code of one kind at h: punctured_code for the punctured image,
+    build_code on its defining set for the others."""
+    h = gf2m._validate_subfield_degree(ctx.m, h)
+    if kind == PUNCTURED_IMAGE:
+        return punctured_code(ctx, h)
+    return build_code(ctx, h, defining_set(ctx, kind))
 
 
 def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:

@@ -347,10 +347,6 @@ def pow(ctx: FieldCtx, a: int, k: int) -> int:  # noqa: A001 - field exponentiat
     return int(ctx.antilog_table[(int(ctx.log_table[a]) * k) % ctx.n_units])
 
 
-def trace(ctx: FieldCtx, a: int) -> int:
-    return int(ctx.trace_table[_check_element(ctx, a)])
-
-
 def relative_trace(ctx: FieldCtx, h: int, a: int) -> int:
     """Trace of a from GF(2^m) onto the subfield GF(2^h), h a proper divisor of m."""
     h = _validate_subfield_degree(ctx.m, h)

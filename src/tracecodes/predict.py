@@ -291,8 +291,17 @@ def _report(m, h, variant, dist, status, **fields) -> VerificationReport:
     )
 
 
-def _proper_divisors(m: int) -> list[int]:
-    return [h for h in range(1, m) if m % h == 0]
+def check_case(dist: code_mod.WeightDistribution, m: int, h: int, variant: str,
+               source: str | None = None) -> VerificationReport:
+    """Verify one enumerated code against its table: source when given,
+    otherwise the one that applies to the variant at (m, h).  When none
+    applies the report is inapplicable and its note says why."""
+    m, h = _validate_params(m, h)
+    source = source or _applicable_source(variant, m // h, m)
+    if source is None:
+        return _report(m, h, variant, dist, INAPPLICABLE, source="",
+                       note=_gap_reason(variant, m // h))
+    return verify(predict_distribution(m, h, source), dist, variant)
 
 
 def sweep(
@@ -300,43 +309,20 @@ def sweep(
 ) -> list[VerificationReport]:
     """Construct, enumerate and verify every variant for every (m, h).
 
-    For each m in ms and each proper divisor h: the trace-0, trace-1 and
-    full codes are built with the power-map columns, plus the punctured
-    code when it exists (m/h even, m > 2).  Each is checked against the
-    applicable table; cases with no applicable table are reported as
-    inapplicable, and the trace-1 odd cases additionally carry an
-    informational row adjudicating the table as printed.  Failures are
-    collected in the reports, not raised.
+    For each m in ms and each proper divisor h, every kind that
+    code.variants lists is built and checked with check_case; the trace-1
+    odd cases additionally carry an informational row adjudicating the table
+    as printed.  Failures are collected in the reports, not raised.
     """
     reports: list[VerificationReport] = []
-    for m in sorted(set(int(m) for m in ms)):
+    for m in sorted({gf2m._as_int(m, "m") for m in ms}):
         ctx = gf2m.build_field(m, (moduli or {}).get(m))
-        sets = {
-            code_mod.D0: code_mod.defining_set(ctx, code_mod.D0),
-            code_mod.D1: code_mod.defining_set(ctx, code_mod.D1),
-            code_mod.FULL_STAR: code_mod.defining_set(ctx, code_mod.FULL_STAR),
-        }
-        for h in _proper_divisors(m):
-            mh = m // h
-            cases: list[tuple[str, code_mod.LinearCode]] = [
-                (v, code_mod.build_code(ctx, h, sets[v]))
-                for v in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR)
-            ]
-            if mh % 2 == 0 and m > 2:
-                cases.append((code_mod.PUNCTURED_IMAGE, code_mod.punctured_code(ctx, h)))
-            for variant, lc in cases:
-                dist = code_mod.weight_distribution(lc)
-                source = _applicable_source(variant, mh, m)
-                if source is None:
-                    reports.append(_report(
-                        m, h, variant, dist, INAPPLICABLE, source="",
-                        note=_gap_reason(variant, mh),
-                    ))
-                    continue
-                pred = predict_distribution(m, h, source)
-                reports.append(verify(pred, dist, variant))
-                if variant == code_mod.D1 and mh % 2:
-                    adj = verify(predict_distribution(m, h, T2), dist, variant)
+        for h in [h for h in range(1, m) if m % h == 0]:
+            for variant in code_mod.variants(m, h):
+                dist = code_mod.weight_distribution(code_mod.make_code(ctx, h, variant))
+                reports.append(check_case(dist, m, h, variant))
+                if variant == code_mod.D1 and (m // h) % 2:
+                    adj = check_case(dist, m, h, variant, T2)
                     adj.informational = True
                     adj.note = "as-printed adjudication; expected to fail"
                     reports.append(adj)

@@ -25,9 +25,13 @@ x0 of the affine equation
 
 namely S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0), and S_h(a, b) = 0 when
 the equation has no solution.  The character factor is the same at every
-solution, so any x0 serves, and b = 0 needs no case of its own.  For all b
-at once, x0 is affine in b, so b -> chi(a'*x0^(q+1) + t*x0) is GF(2)-quadratic
-in b and gf2m.quadratic_table tabulates it from about 2^(m/2+1) values.
+solution, so any x0 serves, and b = 0 needs no case of its own.  _regime
+holds the normalisation, the character and the signed values once; the two
+closed kernels differ only in how they reach x0(b).  weil_sum_closed_many
+reduces each right-hand side.  weil_sum_closed_all_b tabulates the affine
+map b -> x0(b) with gf2m.linear_table, so b -> chi(a'*x0^(q+1) + t*x0) is
+GF(2)-quadratic in b and gf2m.quadratic_table fills it from about
+2^(m/2+1) values.
 
 * m/h even (m = 2e, eps = (-1)^(e/h)): (a', b') = (a, b) and t = 0.  The
   scale is eps*2^e when a is not a (q+1)-th power (the left side is then a
@@ -104,19 +108,23 @@ def epsilon(m: int, h: int) -> int:
 
 
 def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
-    """(a', u, t, scale, unique, reduce): the normalisation of the module docstring.
+    """(u, t, reduce, character, signed): the normalisation of the module docstring.
 
     b' = u*b, so S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0) at any solution
     x0 of a'^q x^(q^2) + a' x = (u*b + t)^q, and 0 when there is none.
-    unique marks the permutation branch, where every right-hand side is
-    solvable.  reduce is the gf2m.gf2_solver reduction of the left side;
-    when m/h is odd (t = 1) that side is x^(q^2) + x for every a, so it is
-    eliminated once per field and h.
+    reduce is the gf2m.gf2_solver reduction of the left side; when m/h is
+    odd (t = 1) that side is x^(q^2) + x for every a, so it is eliminated
+    once per field and h.  character(x0) is Tr(a'*x0^(q+1) + t*x0) at an
+    int64 array of x0.  signed(bits, unsolvable) overwrites bits and returns
+    scale * (-1)^bit, and 0 where unsolvable; in the permutation branch
+    (unique) every right-hand side is solvable, so an unsolvable one there
+    is a RuntimeError.
     """
     m = ctx.m
+    q = 1 << h
     if (m // h) % 2:
         n = ctx.n_units
-        s = pow((1 << h) + 1, -1, n)  # gcd(2^h+1, 2^m-1) = 1 in this regime
+        s = pow(q + 1, -1, n)  # gcd(2^h+1, 2^m-1) = 1 in this regime
         u = int(ctx.antilog_table[(-s * int(ctx.log_table[a])) % n])  # 1/c
         jacobi = -1 if h % 2 and (m // h) % 8 in (3, 5) else 1  # (2 | m/h)^h
         a1, t, scale, unique = 1, 1, jacobi << ((m + h) // 2), False
@@ -129,7 +137,22 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
         return gf2m.gf2_solver(gf2m.linearized_columns(ctx, h, a1), m)[0]
 
     reduce = gf2m._cached(ctx, ("odd_reduce", h), eliminate) if t else eliminate()
-    return a1, u, t, scale, unique, reduce
+    log_a1 = int(ctx.log_table[a1])
+
+    def character(x0):
+        logs = (log_a1 + ctx.log_table[x0] * (q + 1)) % ctx.n_units  # log(a1*x0^(q+1))
+        bits = np.where(x0, ctx.trace_table[ctx.antilog_table[logs]], 0)
+        return bits ^ ctx.trace_table[x0] if t else bits
+
+    values = np.array([scale, -scale, 0])
+
+    def signed(bits, unsolvable):
+        if unique and unsolvable.any():  # a table-construction bug
+            raise RuntimeError(f"permutation branch unsolvable for m={m} h={h} a={a}")
+        bits[unsolvable] = 2
+        return values[bits]
+
+    return u, t, reduce, character, signed
 
 
 def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumValue:
@@ -149,26 +172,14 @@ def weil_sum_closed_many(ctx: gf2m.FieldCtx, h: int, a: int, bs) -> list[int]:
     """Closed-form S_h(a, b) for each b in bs, as weil_sum_closed computes it.
 
     The linear map of the affine equation depends on a alone, so its one
-    reduction serves every b.
+    reduction serves every b; each right-hand side is reduced on its own.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
     bs = [gf2m._check_element(ctx, b, "b") for b in bs]
-    a1, u, t, scale, unique, reduce = _regime(ctx, h, a)
-    q = 1 << h
-    values = []
-    for b in bs:
-        x0 = reduce(gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, q))  # a solution if < 2^m
-        if x0 >> ctx.m:
-            if unique:
-                raise RuntimeError(
-                    f"permutation branch unsolvable for m={ctx.m} h={h} a={a} b={b}; "
-                    "this indicates a table-construction bug"
-                )
-            values.append(0)
-            continue
-        arg = gf2m.mul(ctx, a1, gf2m.pow(ctx, x0, q + 1)) ^ (x0 if t else 0)
-        values.append(scale * (1 - 2 * gf2m.trace(ctx, arg)))
-    return values
+    u, t, reduce, character, signed = _regime(ctx, h, a)
+    rhs = [gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, 1 << h) for b in bs]
+    x0 = np.array([reduce(r) for r in rhs], dtype=np.int64)  # a solution if < 2^m
+    return signed(character(x0 & (ctx.q - 1)), x0 >= ctx.q).tolist()
 
 
 def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
@@ -235,22 +246,8 @@ def weil_sum_closed_all_b(
     the benchmark reads the (values, exact) pair.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
-    a1, u, t, scale, unique, reduce = _regime(ctx, h, a)
-    q = 1 << h
-    images = gf2m.basis_images(ctx, gf2m.pow(ctx, u, q), h)
+    u, t, reduce, character, signed = _regime(ctx, h, a)
+    images = gf2m.basis_images(ctx, gf2m.pow(ctx, u, 1 << h), h)
     reduced = gf2m.linear_table([reduce(int(c)) for c in images]) ^ reduce(t)
-    unsolvable = reduced >= ctx.q
-    if unique and unsolvable.any():
-        raise RuntimeError("permutation branch left unsolvable right-hand sides")
-    log_a1 = int(ctx.log_table[a1])
-
-    def character(bs):
-        x0 = reduced[bs] & (ctx.q - 1)
-        logs = (log_a1 + ctx.log_table[x0] * (q + 1)) % ctx.n_units  # log(a1*x0^(q+1))
-        bits = np.where(x0, ctx.trace_table[ctx.antilog_table[logs]], 0)
-        return bits ^ ctx.trace_table[x0] if t else bits
-
-    sel = gf2m.quadratic_table(character, ctx.m, np.uint8)
-    sel[unsolvable] = 2
-    values = np.array([scale, -scale, 0])[sel]
-    return values, np.ones(ctx.q, dtype=bool)
+    bits = gf2m.quadratic_table(lambda bs: character(reduced[bs] & (ctx.q - 1)), ctx.m, np.uint8)
+    return signed(bits, reduced >= ctx.q), np.ones(ctx.q, dtype=bool)

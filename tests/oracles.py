@@ -1,7 +1,9 @@
-"""Literal whole-field references that the tests hold the library against.
+"""Literal references that the tests hold the library against.
 
-Each is one gather from the field's log and antilog tables, with none of
-the linear or quadratic table machinery of gf2m.
+The whole-field ones are each one gather from the field's log and antilog
+tables, with none of the linear or quadratic table machinery of gf2m.  The
+scalar ones use no table at all: a shift-and-add product reduced by the
+modulus, and the trace as a sum of m - 1 squarings.
 """
 
 from __future__ import annotations
@@ -25,3 +27,26 @@ def mul_vec(ctx, c: int, v: np.ndarray) -> np.ndarray:
         logs = int(ctx.log_table[c]) + ctx.log_table[v[nz]]
         out[nz] = ctx.antilog_table.take(logs, mode="wrap")
     return out
+
+
+def raw_mul(a: int, b: int, modulus: int, m: int) -> int:
+    """a * b in GF(2)[x] / (modulus), modulus of degree m, by shift and add."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= modulus
+    return r
+
+
+def raw_trace(x: int, modulus: int, m: int) -> int:
+    """Tr(x) = x + x^2 + ... + x^(2^(m-1)), by m - 1 raw_mul squarings."""
+    t = x
+    for _ in range(m - 1):
+        x = raw_mul(x, x, modulus, m)
+        t ^= x
+    assert t in (0, 1)
+    return t

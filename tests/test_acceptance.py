@@ -16,6 +16,7 @@ import pytest
 from tracecodes import code as code_mod
 from tracecodes import gf2m, predict, weil
 
+import cases
 import oracles
 
 SWEEP_MS = range(3, 15)
@@ -28,22 +29,13 @@ def swept():
     return reports, time.monotonic() - t0
 
 
-def _dist(m, h, kind, modulus=None):
-    ctx = gf2m.build_field(m, modulus)
-    if kind == code_mod.PUNCTURED_IMAGE:
-        lc = code_mod.punctured_code(ctx, h)
-    else:
-        lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
-    return code_mod.weight_distribution(lc)
-
-
 def _divisor_pairs(ms):
-    return [(m, h) for m in ms for h in range(1, m) if m % h == 0]
+    return [(m, h) for m in ms for h in cases.divisors(m)]
 
 
 def test_criterion_1_single_code_reproduction():
     t0 = time.monotonic()
-    dist = _dist(5, 1, code_mod.D0)
+    dist = cases.distribution(5, 1, code_mod.D0)
     elapsed = time.monotonic() - t0
     assert (dist.n, dist.k, dist.d_min) == (15, 5, 6)
     assert dist.nonzero == {6: 10, 8: 15, 10: 6}
@@ -53,8 +45,8 @@ def test_criterion_1_single_code_reproduction():
 
 def test_criterion_2_paired_codes_reproduction():
     t0 = time.monotonic()
-    d0 = _dist(8, 2, code_mod.D0)
-    d1 = _dist(8, 2, code_mod.D1)
+    d0 = cases.distribution(8, 2, code_mod.D0)
+    d1 = cases.distribution(8, 2, code_mod.D1)
     elapsed = time.monotonic() - t0
     assert (d0.n, d0.k, d0.d_min) == (127, 8, 56)
     assert d0.nonzero == {56: 108, 64: 98, 80: 48, 96: 1}
@@ -65,8 +57,8 @@ def test_criterion_2_paired_codes_reproduction():
 
 
 def test_criterion_3_full_and_punctured_reproduction():
-    full = _dist(6, 1, code_mod.FULL_STAR)
-    punc = _dist(6, 1, code_mod.PUNCTURED_IMAGE)
+    full = cases.distribution(6, 1, code_mod.FULL_STAR)
+    punc = cases.distribution(6, 1, code_mod.PUNCTURED_IMAGE)
     assert (full.n, full.k, full.d_min) == (63, 6, 24)
     assert full.nonzero == {24: 21, 36: 42}
     assert (punc.n, punc.k, punc.d_min) == (21, 6, 8)
@@ -123,7 +115,7 @@ def test_criterion_6_character_sum_oracle_equivalence():
     checked = 0
     for m in range(2, 13):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for a in range(1, ctx.q):
                 d = weil.weil_sum_direct_all_b(ctx, h, a)
                 v, ex = weil.weil_sum_closed_all_b(ctx, h, a)
@@ -139,7 +131,7 @@ def test_criterion_6_character_sum_oracle_equivalence():
 
 
 def test_criterion_7_image_trace_split_counts():
-    cases = 0
+    counted = 0
     for m, h in _divisor_pairs(range(3, 13)):
         if (m // h) % 2:
             continue
@@ -153,11 +145,11 @@ def test_criterion_7_image_trace_split_counts():
             # independent recount, scalar route
             exp = (1 << h) + 1
             ones = sum(
-                gf2m.trace(ctx, gf2m.pow(ctx, x, exp)) for x in range(ctx.q)
+                oracles.raw_trace(gf2m.pow(ctx, x, exp), ctx.modulus, m) for x in range(ctx.q)
             )
             assert (t0, t1) == (ctx.q - ones, ones)
-        cases += 1
-    print(f"criterion 7 PASS: {cases} even-ratio cases, counts exact")
+        counted += 1
+    print(f"criterion 7 PASS: {counted} even-ratio cases, counts exact")
 
 
 def test_criterion_8_secret_sharing_threshold(swept):
@@ -216,20 +208,16 @@ def test_criterion_9_property_suite():
            7: (131, 137), 8: (283, 285)}
     for m, (mod_a, mod_b) in alt.items():
         assert gf2m.is_irreducible(mod_a) and gf2m.is_irreducible(mod_b)
-        for h in [h for h in range(1, m) if m % h == 0]:
-            kinds = [code_mod.D0, code_mod.D1, code_mod.FULL_STAR]
-            if (m // h) % 2 == 0:
-                kinds.append(code_mod.PUNCTURED_IMAGE)
-            for kind in kinds:
-                da = _dist(m, h, kind, mod_a)
-                db = _dist(m, h, kind, mod_b)
+        for h in cases.divisors(m):
+            for kind in code_mod.variants(m, h):
+                da = cases.distribution(m, h, kind, mod_a)
+                db = cases.distribution(m, h, kind, mod_b)
                 assert da.counts == db.counts, (m, h, kind)
     # per-codeword formula agrees with literal column counting
     for m, h in _divisor_pairs(range(3, 13)):
         ctx = gf2m.build_field(m)
         for a in (0, 1):
-            lc = code_mod.build_code(ctx, h, code_mod.defining_set(
-                ctx, code_mod.D0 if a == 0 else code_mod.D1))
+            lc = code_mod.make_code(ctx, h, (code_mod.D0, code_mod.D1)[a])
             weights = np.zeros(ctx.q, dtype=np.int64)
             xs = np.arange(ctx.q, dtype=np.int64)
             for phi in lc.phis:

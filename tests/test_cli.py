@@ -7,8 +7,12 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from tracecodes import cli, gf2m, predict, weil
 from tracecodes import code as code_mod
+
+import cases
 
 
 def test_weights_text_output(capsys):
@@ -141,6 +145,15 @@ def test_export_m20_punctured(capsys):
     assert all(len(row) == 31775 and set(row) <= {"0", "1"} for row in lines[1:-1])
 
 
+def test_export_takes_no_format(capsys):
+    # the text is the same for every format, so export offers no --format
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["export", "--m", "5", "--h", "1", "--variant", "d0", "--format", "machine"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and captured.err.startswith("usage: ")
+    assert "error: unrecognized arguments: --format machine" in captured.err
+
+
 def test_export_to_missing_directory_exit_2(tmp_path, capsys):
     rc = cli.run(["export", "--m", "5", "--h", "1", "--variant", "d0",
                   "--out", str(tmp_path / "missing" / "g.txt")])
@@ -204,10 +217,6 @@ def test_module_entrypoint_subprocess():
     assert proc.stdout.splitlines()[0] == "n=8 k=4 d=2"
 
 
-def _largest_irreducible(m):
-    return next(p for p in range((2 << m) - 1, 1 << m, -1) if gf2m.is_irreducible(p))
-
-
 def _argument_grid():
     variants = (code_mod.D0, code_mod.D1, code_mod.FULL_STAR, code_mod.PUNCTURED_IMAGE)
     for m in range(2, 7):
@@ -223,7 +232,7 @@ def _argument_grid():
                 for b in (-1, 0, 1, q - 1, q):
                     yield ["weil", *base, "--a", str(a), "--b", str(b)]
         # another irreducible modulus, then reducible, wrong-degree and negative ones
-        for mod in (_largest_irreducible(m), 0, 1, -1, -(q | 3), q, 3 * q, (1 << 70) | 1):
+        for mod in (cases.largest_irreducible(m), 0, 1, -1, -(q | 3), q, 3 * q, (1 << 70) | 1):
             for cmd in (["construct", "--variant", "d0"], ["weights", "--variant", "d1"],
                         ["verify", "--variant", "full"], ["export", "--variant", "punctured"],
                         ["weil", "--a", "1", "--b", "1"]):

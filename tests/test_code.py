@@ -8,7 +8,6 @@ the batch enumeration, formula vs enumeration, two moduli per degree).
 from __future__ import annotations
 
 import io
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,11 +17,12 @@ from hypothesis import strategies as st
 from tracecodes import code as code_mod
 from tracecodes import gf2m, predict, weil
 
+import cases
 import oracles
 
 
 def _dist(ctx, h, kind):
-    lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
+    lc = code_mod.make_code(ctx, h, kind)
     return lc, code_mod.weight_distribution(lc)
 
 
@@ -39,8 +39,8 @@ def test_defining_set_sizes_and_membership():
         assert len(d0) == (1 << (m - 1)) - 1
         assert len(d1) == 1 << (m - 1)
         assert len(full) == (1 << m) - 1
-        assert all(x and gf2m.trace(ctx, x) == 0 for x in d0.elements)
-        assert all(gf2m.trace(ctx, x) == 1 for x in d1.elements)
+        assert all(x and oracles.raw_trace(int(x), ctx.modulus, m) == 0 for x in d0.elements)
+        assert all(oracles.raw_trace(int(x), ctx.modulus, m) == 1 for x in d1.elements)
         for ds in (d0, d1, full):
             assert list(ds.elements) == sorted(ds.elements)
         assert set(d0.elements) | set(d1.elements) == set(full.elements)
@@ -67,6 +67,21 @@ def test_punctured_image_rejects_odd_ratio():
         code_mod.defining_set(ctx, code_mod.PUNCTURED_IMAGE, 2)
     with pytest.raises(ValueError, match="m > 2"):
         code_mod.punctured_code(gf2m.build_field(2), 1)
+
+
+def test_variants_list_exactly_the_codes_make_code_builds():
+    # the catalogue against the constructors: every kind builds where it is
+    # listed and is refused with ValueError where it is not
+    for m in range(2, 13):
+        ctx = gf2m.build_field(m)
+        for h in cases.divisors(m):
+            listed = code_mod.variants(m, h)
+            for kind in code_mod.KINDS:
+                if kind in listed:
+                    assert code_mod.make_code(ctx, h, kind).defset.kind == kind, (m, h, kind)
+                else:
+                    with pytest.raises(ValueError):
+                        code_mod.make_code(ctx, h, kind)
 
 
 def test_unknown_kind_and_empty_set():
@@ -176,7 +191,7 @@ def test_reference_code_m6_full_and_punctured():
 def test_dimension_is_m_outside_the_norm_collapse():
     for m in range(3, 9):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for kind in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR):
                 lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
                 if m == 2 * h:
@@ -228,7 +243,8 @@ def test_single_element_defining_set():
 
 def _codeword_weight_direct(lc, x):
     """Hamming weight of the codeword of message x, one trace per coordinate."""
-    return sum(gf2m.trace(lc.ctx, gf2m.mul(lc.ctx, x, int(p))) for p in lc.phis)
+    ctx = lc.ctx
+    return sum(oracles.raw_trace(gf2m.mul(ctx, x, int(p)), ctx.modulus, ctx.m) for p in lc.phis)
 
 
 def test_codeword_weight_direct():
@@ -243,7 +259,7 @@ def test_codeword_weight_direct():
 def test_weight_formula_equals_direct_small_m():
     for m in range(3, 9):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             by_msg = {}
             for a, kind in ((0, code_mod.D0), (1, code_mod.D1)):
                 lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
@@ -274,6 +290,8 @@ def test_every_layer_refuses_h_with_one_message(h):
         lambda: predict.predict_distribution(6, h, predict.T3),
         lambda: code_mod.build_code(ctx, h, code_mod.defining_set(ctx, code_mod.D0)),
         lambda: weil.weil_sum_closed(ctx, h, 1),
+        lambda: code_mod.variants(6, h),
+        lambda: code_mod.make_code(ctx, h, code_mod.D0),
     )
     messages = set()
     for call in calls:
@@ -295,23 +313,10 @@ def test_basis_independence_of_distributions():
             assert d1.counts == d2.counts, (m, kind)
 
 
-def _largest_irreducible(m):
-    return next(p for p in range((2 << m) - 1, 1 << m, -1) if gf2m.is_irreducible(p))
-
-
-def _every_code(ctx):
-    """(h, code) for every proper divisor h and every variant defined there."""
-    for h in [h for h in range(1, ctx.m) if ctx.m % h == 0]:
-        for kind in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR):
-            yield h, code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
-        if (ctx.m // h) % 2 == 0 and ctx.m > 2:
-            yield h, code_mod.punctured_code(ctx, h)
-
-
 def test_build_code_columns_are_literal_powers():
     for m in range(2, 11):
         ctx = gf2m.build_field(m)
-        for h, lc in _every_code(ctx):
+        for h, lc in cases.every_code(ctx):
             if lc.h == 0:
                 continue
             t = (1 << h) + 1
@@ -323,10 +328,10 @@ def test_walsh_route_equals_literal_column_count():
     # the per-coordinate count sum_phi Tr(x*phi) is the oracle for the
     # Walsh route, over every variant and h, under two moduli per degree
     for m in range(3, 11):
-        for modulus in (None, _largest_irreducible(m)):
+        for modulus in (None, cases.largest_irreducible(m)):
             ctx = gf2m.build_field(m, modulus)
             xs = np.arange(ctx.q, dtype=np.int64)
-            for h, lc in _every_code(ctx):
+            for h, lc in cases.every_code(ctx):
                 literal = sum(
                     ctx.trace_table[oracles.mul_vec(ctx, p, xs)].astype(np.int64)
                     for p in lc.phis
@@ -341,18 +346,8 @@ def test_walsh_route_equals_literal_column_count():
                 assert dist.counts == want and dist.d_min == min(w for w in want if w), case
 
 
-@st.composite
-def _irreducible_modulus(draw, max_degree: int) -> int:
-    """The first irreducible polynomial of a random degree m <= max_degree at or
-    after a random start, wrapping around within degree m."""
-    m = draw(st.integers(2, max_degree))
-    start = draw(st.integers(1 << m, (2 << m) - 1))
-    return next(p for p in chain(range(start, 2 << m), range(1 << m, start))
-                if gf2m.is_irreducible(p))
-
-
 def _assert_rank_oracle(ctx):
-    for h, lc in _every_code(ctx):
+    for h, lc in cases.every_code(ctx):
         case = (ctx.m, ctx.modulus, h, lc.defset.kind)
         # the rank of every column in its given order, duplicates and all
         assert lc.k == gf2m.gf2_rank(lc.phis.tolist(), ctx.m), case
@@ -368,12 +363,12 @@ def _assert_rank_oracle(ctx):
 
 def test_rank_oracle_smallest_and_largest_modulus():
     for m in range(3, 13):
-        for modulus in (None, _largest_irreducible(m)):
+        for modulus in (None, cases.largest_irreducible(m)):
             _assert_rank_oracle(gf2m.build_field(m, modulus))
 
 
 @settings(max_examples=25, deadline=None)
-@given(_irreducible_modulus(12))
+@given(cases.irreducible_modulus(12))
 def test_rank_oracle_in_a_random_basis(modulus):
     _assert_rank_oracle(gf2m.build_field(gf2m.poly_degree(modulus), modulus))
 
@@ -434,7 +429,7 @@ def test_punctured_image_oracle_m14_to_m20():
     # the subgroup <g^d> against the literal image of the power map
     for m in (14, 16, 18, 20):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0 and (m // h) % 2 == 0]:
+        for h in [h for h in cases.divisors(m) if (m // h) % 2 == 0]:
             pc = code_mod.punctured_code(ctx, h)
             image = np.unique(oracles.power_table(ctx, (1 << h) + 1)[1:])
             assert pc.defset.elements.dtype == image.dtype, (m, h)
@@ -446,9 +441,9 @@ def test_punctured_image_oracle_m14_to_m20():
 def _random_basis_query(draw):
     """(modulus, h, a, t, b): a random irreducible modulus of degree m <= 12,
     a proper divisor h, a != 0, a trace-set choice t and a message b != 0."""
-    modulus = draw(_irreducible_modulus(12))
+    modulus = draw(cases.irreducible_modulus(12))
     m = gf2m.poly_degree(modulus)
-    h = draw(st.sampled_from([h for h in range(1, m) if m % h == 0]))
+    h = draw(st.sampled_from(cases.divisors(m)))
     a = draw(st.integers(1, (1 << m) - 1))
     b = draw(st.integers(1, (1 << m) - 1))
     return modulus, h, a, draw(st.sampled_from((0, 1))), b
@@ -473,7 +468,7 @@ def test_three_routes_agree_in_a_random_basis(query):
 def test_at_most_four_nonzero_weights():
     for m in range(3, 11):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for kind in (code_mod.D0, code_mod.D1):
                 _, dist = _dist(ctx, h, kind)
                 assert len(dist.nonzero) <= 4, (m, h, kind)
@@ -483,19 +478,10 @@ def test_at_most_four_nonzero_weights():
 def _random_code(draw):
     """(modulus, h, kind): a random irreducible modulus of degree m <= 10, a
     proper divisor h and a variant defined for (m, h)."""
-    modulus = draw(_irreducible_modulus(10))
+    modulus = draw(cases.irreducible_modulus(10))
     m = gf2m.poly_degree(modulus)
-    h = draw(st.sampled_from([h for h in range(1, m) if m % h == 0]))
-    kinds = [code_mod.D0, code_mod.D1, code_mod.FULL_STAR]
-    if (m // h) % 2 == 0 and m > 2:
-        kinds.append(code_mod.PUNCTURED_IMAGE)
-    return modulus, h, draw(st.sampled_from(kinds))
-
-
-def _enumerate(ctx, h, kind):
-    if kind == code_mod.PUNCTURED_IMAGE:
-        return code_mod.weight_distribution(code_mod.punctured_code(ctx, h))
-    return _dist(ctx, h, kind)[1]
+    h = draw(st.sampled_from(cases.divisors(m)))
+    return modulus, h, draw(st.sampled_from(code_mod.variants(m, h)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -503,9 +489,9 @@ def _enumerate(ctx, h, kind):
 def test_distribution_properties_in_a_random_basis(query):
     modulus, h, kind = query
     m = gf2m.poly_degree(modulus)
-    dist = _enumerate(gf2m.build_field(m, modulus), h, kind)
+    _, dist = _dist(gf2m.build_field(m, modulus), h, kind)
     # the weights are a property of the field, not of its polynomial basis
-    base = _enumerate(gf2m.build_field(m), h, kind)
+    _, base = _dist(gf2m.build_field(m), h, kind)
     assert (dist.counts, dist.n, dist.k) == (base.counts, base.n, base.k)
     if dist.k == m:
         assert predict.pless_check(dist)
@@ -536,7 +522,8 @@ def test_generator_matrix_row_space_is_the_code():
     for x in range(ctx.q):
         words.add(
             np.array(
-                [gf2m.trace(ctx, gf2m.mul(ctx, x, p)) for p in lc.phis], dtype=np.uint8
+                [oracles.raw_trace(gf2m.mul(ctx, x, p), ctx.modulus, ctx.m) for p in lc.phis],
+                dtype=np.uint8
             ).tobytes()
         )
     assert span == words
@@ -597,9 +584,9 @@ def _export_text(lc, tmp_path):
 
 def test_export_text_equals_per_bit_rendering(tmp_path):
     for m in range(2, 9):
-        for modulus in (None, _largest_irreducible(m)):
+        for modulus in (None, cases.largest_irreducible(m)):
             ctx = gf2m.build_field(m, modulus)
-            for h, lc in _every_code(ctx):
+            for h, lc in cases.every_code(ctx):
                 assert _export_text(lc, tmp_path) == _literal_export_text(lc), (
                     m, ctx.modulus, h, lc.defset.kind)
     pc = code_mod.punctured_code(gf2m.build_field(20), 5)
@@ -636,6 +623,8 @@ def test_numpy_integers_are_integers_and_floats_are_refused():
         lambda: gf2m.mul(ctx5, 2.9, 3),
         lambda: code_mod.codeword_weight_formula(ctx5, 1, 0, 5.5),
         lambda: weil.weil_sum_closed(ctx5, 1, i64(3), 1.0),
+        lambda: predict.sweep([3.7]),  # refused, not truncated to m = 3
+        lambda: predict.sweep(["5"]),  # refused, not parsed as m = 5
     )
     for call in refused:
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ that appear as literals were derived by hand or by the oracles here.
 from __future__ import annotations
 
 import random
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 from tracecodes import gf2m
 
+import cases
 import oracles
 
 
@@ -178,41 +178,22 @@ def test_mul_matches_tablefree_reference():
         ctx = gf2m.build_field(m)
         for a in range(ctx.q):
             for b in range(ctx.q):
-                assert gf2m.mul(ctx, a, b) == _raw_mul(a, b, ctx.modulus, m)
+                assert gf2m.mul(ctx, a, b) == oracles.raw_mul(a, b, ctx.modulus, m)
 
 
 # ---------------------------------------------------------------------------
 # Literal oracle for the field tables: one power of the generator at a time,
-# each a table-free shift-and-add product, and the trace by m - 1 squarings.
+# each a table-free shift-and-add product (oracles.raw_mul), and the trace by
+# m - 1 squarings (oracles.raw_trace).
 # ---------------------------------------------------------------------------
-
-def _raw_mul(a: int, b: int, modulus: int, m: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m:
-            a ^= modulus
-    return r
-
 
 def _raw_pow(a: int, k: int, modulus: int, m: int) -> int:
     r = 1
     for bit in bin(k)[2:]:
-        r = _raw_mul(r, r, modulus, m)
+        r = oracles.raw_mul(r, r, modulus, m)
         if bit == "1":
-            r = _raw_mul(r, a, modulus, m)
+            r = oracles.raw_mul(r, a, modulus, m)
     return r
-
-
-def _scalar_trace(x: int, modulus: int, m: int) -> int:
-    t = x
-    for _ in range(m - 1):
-        x = _raw_mul(x, x, modulus, m)
-        t ^= x
-    return t
 
 
 def _chased_tables(m: int, modulus: int, generator: int):
@@ -224,7 +205,7 @@ def _chased_tables(m: int, modulus: int, generator: int):
     for i in range(q - 1):
         antilog[i] = v
         log[v] = i
-        v = _raw_mul(v, generator, modulus, m)
+        v = oracles.raw_mul(v, generator, modulus, m)
     assert v == 1 and -1 not in log[1:]
     log_np = np.array(log, dtype=np.int64)
     alog_np = np.array(antilog, dtype=np.int64)
@@ -244,33 +225,21 @@ def _assert_tables_match_oracle(ctx) -> None:
         assert got.dtype == want.dtype and np.array_equal(got, want), (ctx, name)
 
 
-def _largest_irreducible(m: int) -> int:
-    return next(p for p in range((2 << m) - 1, 1 << m, -1) if gf2m.is_irreducible(p))
-
-
 def test_field_tables_equal_the_chased_tables():
     for m in range(2, 17):
-        for modulus in (gf2m.smallest_irreducible(m), _largest_irreducible(m)):
+        for modulus in (gf2m.smallest_irreducible(m), cases.largest_irreducible(m)):
             _assert_tables_match_oracle(gf2m.build_field(m, modulus))
 
 
-@st.composite
-def _irreducible_modulus(draw, max_degree: int) -> int:
-    m = draw(st.integers(2, max_degree))
-    start = draw(st.integers(1 << m, (2 << m) - 1))
-    return next(p for p in chain(range(start, 2 << m), range(1 << m, start))
-                if gf2m.is_irreducible(p))
-
-
 @settings(max_examples=40, deadline=None)
-@given(_irreducible_modulus(14))
+@given(cases.irreducible_modulus(14))
 def test_field_tables_equal_the_chased_tables_random_modulus(modulus):
     _assert_tables_match_oracle(gf2m.build_field(gf2m.poly_degree(modulus), modulus))
 
 
 def test_field_tables_spot_checked_at_m20():
     rng = random.Random(20)
-    for modulus in (gf2m.smallest_irreducible(20), _largest_irreducible(20)):
+    for modulus in (gf2m.smallest_irreducible(20), cases.largest_irreducible(20)):
         ctx = gf2m.build_field(20, modulus)
         assert ctx.log_table.dtype == ctx.antilog_table.dtype == np.int64
         assert ctx.trace_table.dtype == np.uint8
@@ -279,7 +248,7 @@ def test_field_tables_spot_checked_at_m20():
             x = _raw_pow(ctx.generator, i, modulus, 20)
             assert ctx.antilog_table[i] == x and ctx.log_table[x] == i
         for x in rng.sample(range(ctx.q), 300):
-            assert ctx.trace_table[x] == _scalar_trace(x, modulus, 20)
+            assert ctx.trace_table[x] == oracles.raw_trace(x, modulus, 20)
 
 
 def _mul_table(ctx) -> np.ndarray:
@@ -349,13 +318,13 @@ def test_relative_trace_tower():
             for _ in range(h):
                 t ^= cur
                 cur = gf2m.mul(ctx, cur, cur)
-            assert t == gf2m.trace(ctx, x)
+            assert t == oracles.raw_trace(x, ctx.modulus, m)
 
 
 def test_relative_trace_h_one_is_absolute():
     ctx = gf2m.build_field(6)
     for x in range(ctx.q):
-        assert gf2m.relative_trace(ctx, 1, x) == gf2m.trace(ctx, x)
+        assert gf2m.relative_trace(ctx, 1, x) == oracles.raw_trace(x, ctx.modulus, 6)
 
 
 def test_subfield_degree_validation():
@@ -374,6 +343,15 @@ def _span(vecs) -> set[int]:
     for v in vecs:
         out |= {w ^ v for w in out}
     return out
+
+
+def _apply(cols, x: int) -> int:
+    """M x for the GF(2) matrix M with the given columns."""
+    r = 0
+    for j, col in enumerate(cols):
+        if (x >> j) & 1:
+            r ^= col
+    return r
 
 
 @given(st.data())
@@ -395,16 +373,8 @@ def test_gf2_solve_reproduces_solution_sets():
     m = 6
     for _ in range(60):
         cols = [rng.randrange(0, 1 << m) for _ in range(m)]
-
-        def apply(x: int) -> int:
-            r = 0
-            for j in range(m):
-                if (x >> j) & 1:
-                    r ^= cols[j]
-            return r
-
         rhs = rng.randrange(0, 1 << m)
-        brute = {x for x in range(1 << m) if apply(x) == rhs}
+        brute = {x for x in range(1 << m) if _apply(cols, x) == rhs}
         sol = gf2m.gf2_solve(cols, rhs, m)
         if sol is None:
             assert brute == set()
@@ -430,24 +400,16 @@ def test_gf2_solver_reduction_is_linear_and_decides_solvability(case):
     zero columns) is drawn as often as it comes."""
     m, cols, x, y = case
     reduce, kernel = gf2m.gf2_solver(cols, m)
-
-    def apply(v: int) -> int:
-        r = 0
-        for j in range(m):
-            if (v >> j) & 1:
-                r ^= cols[j]
-        return r
-
-    images = {apply(v) for v in range(1 << m)}
+    images = {_apply(cols, v) for v in range(1 << m)}
     assert reduce(x ^ y) == reduce(x) ^ reduce(y)
     assert reduce(0) == 0
     for rhs in (x, y, x ^ y):
         r = reduce(rhs)
         assert (r >> m == 0) == (rhs in images)
         if r >> m == 0:
-            assert apply(r) == rhs
-    assert all(apply(v) == 0 for v in kernel)
-    assert 1 << len(kernel) == sum(apply(v) == 0 for v in range(1 << m))
+            assert _apply(cols, r) == rhs
+    assert all(_apply(cols, v) == 0 for v in kernel)
+    assert 1 << len(kernel) == sum(_apply(cols, v) == 0 for v in range(1 << m))
 
 
 def _solutions(sol) -> set[int]:
@@ -522,8 +484,9 @@ def test_exponent_table_against_literal_powers():
         n = ctx.n_units
         tr = gf2m.trace_of_antilog(ctx)
         assert tr.shape == (2 * n - 1,) and tr.dtype == np.uint8
-        assert all(tr[i] == gf2m.trace(ctx, int(ctx.antilog_table[i % n])) for i in range(2 * n - 1))
-        for h in [h for h in range(1, m) if m % h == 0]:
+        assert all(tr[i] == oracles.raw_trace(int(ctx.antilog_table[i % n]), ctx.modulus, m)
+                   for i in range(2 * n - 1))
+        for h in cases.divisors(m):
             t = (1 << h) + 1
             e = gf2m.exponent_table(ctx, t)
             assert e.shape == (n,) and 0 <= e.min() and e.max() < n
@@ -597,11 +560,11 @@ def _assert_power_map_tables(ctx, hs):
 def test_power_map_table_every_divisor_m2_to_m20():
     for m in range(2, 21):
         ctx = gf2m.build_field(m)
-        _assert_power_map_tables(ctx, [h for h in range(1, m) if m % h == 0])
+        _assert_power_map_tables(ctx, cases.divisors(m))
 
 
 @settings(max_examples=30, deadline=None)
-@given(_irreducible_modulus(12))
+@given(cases.irreducible_modulus(12))
 def test_power_map_table_in_a_random_basis(modulus):
     ctx = gf2m.build_field(gf2m.poly_degree(modulus), modulus)
     _assert_power_map_tables(ctx, range(ctx.m))

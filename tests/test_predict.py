@@ -14,15 +14,9 @@ from fractions import Fraction
 import pytest
 
 from tracecodes import code as code_mod
-from tracecodes import gf2m, predict
+from tracecodes import predict
 
-
-def _enum(m, h, kind):
-    ctx = gf2m.build_field(m)
-    if kind == code_mod.PUNCTURED_IMAGE:
-        return code_mod.weight_distribution(code_mod.punctured_code(ctx, h))
-    lc = code_mod.build_code(ctx, h, code_mod.defining_set(ctx, kind))
-    return code_mod.weight_distribution(lc)
+import cases
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +64,7 @@ def test_punctured_table_scales_weights_only():
 
 def test_weight_count_bounds():
     for m in range(3, 13):
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for src in predict.SOURCES:
                 try:
                     pred = predict.predict_distribution(m, h, src)
@@ -104,7 +98,7 @@ def test_applicability_gates():
 
 def test_predictions_satisfy_power_moments_except_printed_variant():
     for m in range(3, 13):
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for src in predict.SOURCES:
                 try:
                     pred = predict.predict_distribution(m, h, src)
@@ -127,7 +121,7 @@ def test_printed_variant_second_moment_numbers():
 
 def test_pless_check_on_enumerations():
     for m, h, kind in ((5, 1, code_mod.D0), (5, 1, code_mod.D1), (8, 2, code_mod.D1)):
-        assert predict.pless_check(_enum(m, h, kind))
+        assert predict.pless_check(cases.distribution(m, h, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,7 @@ def test_pless_check_on_enumerations():
 # ---------------------------------------------------------------------------
 
 def test_verify_match_and_mismatch():
-    dist = _enum(5, 1, code_mod.D1)
+    dist = cases.distribution(5, 1, code_mod.D1)
     good = predict.verify(predict.predict_distribution(5, 1, predict.T2C), dist, "d1")
     assert good.status == predict.MATCH
     assert good.moment_check == "pass"
@@ -146,7 +140,7 @@ def test_verify_match_and_mismatch():
 
 
 def test_verify_rejects_parameter_mismatch():
-    dist = _enum(5, 1, code_mod.D0)  # n=15, but the trace-1 table has n=16
+    dist = cases.distribution(5, 1, code_mod.D0)  # n=15, but the trace-1 table has n=16
     with pytest.raises(ValueError, match="parameter mismatch"):
         predict.verify(predict.predict_distribution(5, 1, predict.T2C), dist)
 
@@ -154,7 +148,7 @@ def test_verify_rejects_parameter_mismatch():
 def test_verify_handles_norm_collapse():
     # m = 2h: the table predicts a zero-weight row; enumeration folds it
     # into the zero-codeword count and the rank drop is reported, not hidden
-    dist = _enum(4, 2, code_mod.FULL_STAR)
+    dist = cases.distribution(4, 2, code_mod.FULL_STAR)
     rep = predict.verify(predict.predict_distribution(4, 2, predict.T5), dist, "full")
     assert rep.status == predict.MATCH
     assert rep.k == 2
@@ -163,7 +157,7 @@ def test_verify_handles_norm_collapse():
 
 
 def test_verify_norm_collapse_punctured():
-    dist = _enum(8, 4, code_mod.PUNCTURED_IMAGE)
+    dist = cases.distribution(8, 4, code_mod.PUNCTURED_IMAGE)
     rep = predict.verify(predict.predict_distribution(8, 4, predict.C6), dist, "punctured")
     assert rep.status == predict.MATCH and rep.k == 4
 
@@ -173,7 +167,7 @@ def test_verify_norm_collapse_punctured():
 # ---------------------------------------------------------------------------
 
 def test_secret_sharing_ratios():
-    ratio, ok = predict.secret_sharing_ratio(_enum(5, 1, code_mod.D0))
+    ratio, ok = predict.secret_sharing_ratio(cases.distribution(5, 1, code_mod.D0))
     assert (ratio, ok) == (Fraction(3, 5), True)
     ratio, ok = predict.secret_sharing_ratio(predict.predict_distribution(4, 1, predict.T3))
     assert (ratio, ok) == (Fraction(1, 3), False)
@@ -187,7 +181,7 @@ def test_secret_sharing_ratios():
 
 def test_secret_sharing_constant_weight_code():
     # single nonzero weight: ratio is exactly 1
-    ratio, ok = predict.secret_sharing_ratio(_enum(4, 2, code_mod.FULL_STAR))
+    ratio, ok = predict.secret_sharing_ratio(cases.distribution(4, 2, code_mod.FULL_STAR))
     assert (ratio, ok) == (Fraction(1, 1), True)
 
 

@@ -1,8 +1,9 @@
 """Character-sum tests.
 
-A self-contained pure-Python evaluator (its own multiply, its own trace)
-serves as the independent oracle for small fields; the closed forms are then
-checked against direct summation exhaustively, including the batch kernels.
+A pure-Python evaluator on the table-free multiply and trace of
+tests/oracles.py serves as the independent oracle for small fields; the
+closed forms are then checked against direct summation exhaustively,
+including the batch kernels.
 """
 
 from __future__ import annotations
@@ -12,27 +13,14 @@ import pytest
 
 from tracecodes import gf2m, weil
 
+import cases
+import oracles
+
 
 def _oracle_sum(m: int, modulus: int, h: int, a: int, b: int) -> int:
     # independent of the package's tables on purpose
     def mul(x: int, y: int) -> int:
-        r = 0
-        while y:
-            if y & 1:
-                r ^= x
-            y >>= 1
-            x <<= 1
-            if (x >> m) & 1:
-                x ^= modulus
-        return r
-
-    def tr(x: int) -> int:
-        t, cur = 0, x
-        for _ in range(m):
-            t ^= cur
-            cur = mul(cur, cur)
-        assert t in (0, 1)
-        return t
+        return oracles.raw_mul(x, y, modulus, m)
 
     exp = (1 << h) + 1
     s = 0
@@ -40,14 +28,14 @@ def _oracle_sum(m: int, modulus: int, h: int, a: int, b: int) -> int:
         p = 1
         for _ in range(exp):  # x^exp by repeated multiplication
             p = mul(p, x)
-        s += -1 if tr(mul(a, p) ^ mul(b, x)) else 1
+        s += -1 if oracles.raw_trace(mul(a, p) ^ mul(b, x), modulus, m) else 1
     return s
 
 
 def test_direct_sum_matches_independent_oracle():
     for m in (2, 3, 4):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for a in range(1, ctx.q):
                 for b in range(ctx.q):
                     assert weil.weil_sum_direct(ctx, h, a, b) == _oracle_sum(
@@ -111,7 +99,7 @@ def test_closed_equals_direct_exhaustive_small_m():
     at every b, and sampled b are checked against direct summation."""
     for m in range(2, 9):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for a in range(1, ctx.q):
                 d = weil.weil_sum_direct_all_b(ctx, h, a)
                 v, ex = weil.weil_sum_closed_all_b(ctx, h, a)
@@ -147,7 +135,7 @@ def test_direct_sum_edges():
             assert weil.weil_sum_direct(ctx, 1, a, b) == int(d[b]) == want
     for m in (5, 6):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             # a = 1, b = 0: the sum of (-1)^Tr(x^(2^h+1))
             s = weil.weil_sum_direct(ctx, h, 1, 0)
             assert s == _oracle_sum(m, ctx.modulus, h, 1, 0)
@@ -171,7 +159,7 @@ def test_closed_equals_direct_all_b_m13_to_m20():
     rng = np.random.default_rng(1320)
     for m in range(13, 21):
         ctx = gf2m.build_field(m)
-        for h in [h for h in range(1, m) if m % h == 0]:
+        for h in cases.divisors(m):
             for a in rng.integers(1, ctx.q, size=2):
                 v, ex = weil.weil_sum_closed_all_b(ctx, h, int(a))
                 d = weil.weil_sum_direct_all_b(ctx, h, int(a))
