@@ -93,24 +93,33 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
     to puncture.  On the cyclic group <g> of order 2^m - 1 the image of
     x -> x^t is the subgroup <g^d>, d = gcd(t, 2^m - 1), so the punctured
     set is every d-th antilog entry, sorted, with no power table.
+
+    d0, d1 and full depend on the field alone, so each is built once per
+    field and shared by every later call, with read-only elements.
     """
-    if kind == D0:
-        els = np.flatnonzero(ctx.trace_table == 0)[1:]  # Tr(0) = 0, and 0 comes first
-    elif kind == D1:
-        els = np.flatnonzero(ctx.trace_table == 1)
-    elif kind == FULL_STAR:
-        els = np.arange(1, ctx.q, dtype=np.int64)
-    elif kind == PUNCTURED_IMAGE:
+    if kind == PUNCTURED_IMAGE:
         h = gf2m._validate_subfield_degree(ctx.m, h)
         if (ctx.m // h) % 2:
             raise ValueError(
                 f"punctured image needs m/h even; for m={ctx.m}, h={h} the map "
                 f"x -> x^(2^{h}+1) is a bijection (gcd(2^{h}+1, 2^{ctx.m}-1) = 1)"
             )
-        els = np.sort(ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)])
-    else:
+        return DefiningSet(kind, np.sort(ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)]))
+    if kind not in (D0, D1, FULL_STAR):
         raise ValueError(f"unknown defining-set kind {kind!r}; expected one of {KINDS}")
-    return DefiningSet(kind, els)
+
+    def build():
+        if kind == D0:
+            els = np.flatnonzero(ctx.trace_table == 0)[1:]  # Tr(0) = 0, and 0 comes first
+        elif kind == D1:
+            els = np.flatnonzero(ctx.trace_table == 1)
+        else:
+            els = np.arange(1, ctx.q, dtype=np.int64)
+        ds = DefiningSet(kind, els)
+        ds.elements.setflags(write=False)  # shared by every caller through the cache
+        return ds
+
+    return gf2m._cached(ctx, ("defset", kind), build)
 
 
 def _distinct_nonzero(ctx: gf2m.FieldCtx, values: np.ndarray) -> np.ndarray:

@@ -16,6 +16,11 @@ GF(2)-quadratic maps, such as x -> x^(2^h+1) and the closed Weil sums'
 character, are tabulated the same way by quadratic_table: the map itself is
 evaluated at about 2^(m/2+1) points, and XOR doublings of its polar form
 fill in the rest, so no whole-field remainder or random gather is needed.
+
+The Walsh-Hadamard transform, wht, is about m/5 matrix products with the
+Sylvester matrix of order 2^r, r <= 5, each over r of the m index bits.
+They run in float32 or float64, whichever holds every intermediate value
+as an exact integer.
 """
 
 from __future__ import annotations
@@ -247,9 +252,7 @@ def build_field(m: int, modulus: int | None = None) -> FieldCtx:
     The build asserts that g^(2^m-1) = 1, that every unit gets a log and
     that the trace is balanced.
     """
-    m = _as_int(m, "m")
-    if not MIN_DEGREE <= m <= MAX_DEGREE:
-        raise ValueError(f"m must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}], got {m!r}")
+    m = _validate_degree(m)
     if modulus is None:
         modulus = smallest_irreducible(m)
     else:
@@ -307,6 +310,15 @@ def _as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
+def _validate_degree(m: int) -> int:
+    """m as an int in [MIN_DEGREE, MAX_DEGREE], the degrees build_field admits,
+    else ValueError."""
+    m = _as_int(m, "m")
+    if not MIN_DEGREE <= m <= MAX_DEGREE:
+        raise ValueError(f"m must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}], got {m!r}")
+    return m
 
 
 def _validate_subfield_degree(m: int, h: int) -> int:
@@ -530,33 +542,57 @@ def dual_coordinates(ctx: FieldCtx) -> np.ndarray:
     return _cached(ctx, "dual", build)
 
 
+@functools.lru_cache(maxsize=None)
+def _sylvester(r: int, dtype) -> np.ndarray:
+    """The +-1 Sylvester matrix H[b, z] = (-1)^popcount(b & z) of order 2^r."""
+    h = np.ones((1, 1), dtype=dtype)
+    for _ in range(r):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)  # shared by every caller through the cache
+    return h
+
+
 def wht(v: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z), as int64.
 
-    Each of the m stages (v.size = 2^m) writes the sums and differences of
-    the pairs (2j, 2j+1) to the halves j and j + 2^(m-1) of a second buffer:
-    it transforms the lowest index bit and rotates it to the top, so after m
-    stages every bit is transformed and back in place, and every stage reads
-    and writes whole arrays.
+    The m index bits (v.size = 2^m) are split as evenly as possible into
+    ceil(m / 5) groups of r <= 5 bits.  Each group is one GEMM step: v viewed
+    as (2^(m-r), 2^r) is transposed and multiplied by the Sylvester matrix
+    H = H_(2^r), and the product is written as (2^r, 2^(m-r)) to a second
+    buffer.  A step transforms the low r index bits and rotates them to the
+    top, so after all steps every bit is transformed and back in place; the
+    transposed operand and the rotated output are strides handed to BLAS,
+    with no copy.
 
-    Every stage value is a signed sum of entries of v, so |value| is at most
-    v.size * max |v|.  The stages run in int32 when that bound is below 2^31,
-    as it is for the package's inputs at m <= 20: +-1 vectors (bound 2^20),
-    and the column counts of the codes, where a column repeats at most
-    gcd(2^h+1, 2^m-1) <= 2^(m/2)+1 times (bound 2^20 * 1025 < 2^31).  Other
-    inputs run in int64.
+    Every intermediate value, each BLAS partial sum in any order and with or
+    without FMA included, is a signed sum of distinct entries of v, so its
+    magnitude is at most S = sum |v|.  Integers up to 2^24 are exact in
+    float32 and below 2^53 in float64, so the steps run in float32 when
+    S <= 2^24 and in float64 when S < 2^53; a larger S is a ValueError.  The
+    package's inputs stay in float32 up to m = 24: +-1 vectors have S = 2^m
+    and the column counts of a code have S = n < 2^m.
     """
     v = np.asarray(v)
     if v.size & (v.size - 1):
         raise ValueError(f"wht needs a power-of-two length, got {v.size}")
-    peak = max(int(v.max(initial=0)), -int(v.min(initial=0)))
-    v = v.astype(np.int32 if v.size * peak < 1 << 31 else np.int64)
-    out = np.empty_like(v)
-    half = v.size // 2
-    for _ in range(v.size.bit_length() - 1):
-        pairs = v.reshape(-1, 2)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
-        v, out = out, v
-    del out  # free the spare buffer before the int64 copy
-    return v.astype(np.int64, copy=False)
+    # S decides the dtype; a float64 sum of integers is exact up to 2^53 and never
+    # rounds a larger sum below it.  Counts are non-negative and need no |v|.
+    mags = v
+    if v.min(initial=0) < 0:
+        mags = np.abs(v)
+        if mags.dtype.kind == "i":
+            mags = mags.view(f"u{mags.itemsize}")  # |-2^(w-1)| wraps in w signed bits
+    total = mags.sum(dtype=np.float64)
+    if total >= 2.0 ** 53:
+        raise ValueError(f"wht is exact only while sum |v| < 2^53, got {total:.17g}")
+    x = v.astype(np.float32 if total <= 1 << 24 else np.float64)
+    y = np.empty_like(x)
+    m = v.size.bit_length() - 1
+    steps = -(-m // 5)
+    for i in range(steps):
+        r = (m + i) // steps  # the even split, smaller groups first
+        size = 1 << r
+        np.matmul(_sylvester(r, x.dtype.type), x.reshape(-1, size).T, out=y.reshape(size, -1))
+        x, y = y, x
+    del y  # free the spare buffer before the int64 copy
+    return x.astype(np.int64)

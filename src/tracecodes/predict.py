@@ -312,10 +312,12 @@ def sweep(
     For each m in ms and each proper divisor h, every kind that
     code.variants lists is built and checked with check_case; the trace-1
     odd cases additionally carry an informational row adjudicating the table
-    as printed.  Failures are collected in the reports, not raised.
+    as printed.  Failures are collected in the reports, not raised.  Every
+    m is checked against the degrees gf2m.build_field admits before the
+    first field is built, so an out-of-range m costs no work.
     """
     reports: list[VerificationReport] = []
-    for m in sorted({gf2m._as_int(m, "m") for m in ms}):
+    for m in sorted({gf2m._validate_degree(m) for m in ms}):
         ctx = gf2m.build_field(m, (moduli or {}).get(m))
         for h in [h for h in range(1, m) if m % h == 0]:
             for variant in code_mod.variants(m, h):

@@ -3,7 +3,8 @@
 The whole-field ones are each one gather from the field's log and antilog
 tables, with none of the linear or quadratic table machinery of gf2m.  The
 scalar ones use no table at all: a shift-and-add product reduced by the
-modulus, and the trace as a sum of m - 1 squarings.
+modulus, and the trace as a sum of m - 1 squarings.  The Walsh transform
+is the pair butterfly in int64, with no floating point.
 """
 
 from __future__ import annotations
@@ -50,3 +51,22 @@ def raw_trace(x: int, modulus: int, m: int) -> int:
         t ^= x
     assert t in (0, 1)
     return t
+
+
+def wht(v) -> np.ndarray:
+    """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z), in int64.
+
+    Each of the m stages (v.size = 2^m) writes the sums and differences of
+    the pairs (2j, 2j+1) to the halves j and j + 2^(m-1) of a second buffer:
+    it transforms the lowest index bit and rotates it to the top, so after m
+    stages every bit is transformed and back in place.
+    """
+    v = np.array(v, dtype=np.int64)  # a copy: the stages write to both buffers
+    out = np.empty_like(v)
+    half = v.size // 2
+    for _ in range(v.size.bit_length() - 1):
+        pairs = v.reshape(-1, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        v, out = out, v
+    return v

@@ -207,6 +207,16 @@ def test_sweep_rejects_bad_range(capsys):
     assert "bad range" in capsys.readouterr().err
 
 
+def test_sweep_refuses_m_past_the_field_range_before_any_work(capsys, monkeypatch):
+    with pytest.raises(ValueError) as refused:
+        gf2m.build_field(21)
+    calls = []
+    monkeypatch.setattr(gf2m, "build_field", lambda *args: calls.append(args))
+    rc = cli.run(["sweep", "--m-min", "3", "--m-max", "21"])
+    assert rc == 2 and calls == []
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "tracecodes", "weights",

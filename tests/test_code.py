@@ -46,6 +46,18 @@ def test_defining_set_sizes_and_membership():
         assert set(d0.elements) | set(d1.elements) == set(full.elements)
 
 
+def test_field_only_defining_sets_are_built_once_per_field():
+    ctx = gf2m.build_field(6)
+    for kind in (code_mod.D0, code_mod.D1, code_mod.FULL_STAR):
+        ds = code_mod.defining_set(ctx, kind)
+        assert code_mod.defining_set(ctx, kind) is ds
+        assert code_mod.defining_set(gf2m.build_field(6), kind) is not ds
+        with pytest.raises(ValueError, match="read-only"):
+            ds.elements[0] = 0
+    punctured = code_mod.defining_set(ctx, code_mod.PUNCTURED_IMAGE, 3)
+    assert code_mod.defining_set(ctx, code_mod.PUNCTURED_IMAGE, 1) is not punctured
+
+
 def test_defining_set_m2_is_degenerate_but_well_defined():
     ctx = gf2m.build_field(2)
     assert list(code_mod.defining_set(ctx, code_mod.D0).elements) == [1]

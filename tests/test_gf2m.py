@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecodes import code as code_mod
 from tracecodes import gf2m
 
 import cases
@@ -607,22 +608,62 @@ def test_wht_against_literal_transform():
         v = rng.choice(np.array([-1, 1]), size=1 << m)
         w = gf2m.wht(v)
         assert w.dtype == np.int64 and np.array_equal(w, _literal_wht(v))
+        assert np.array_equal(oracles.wht(v), w)
         counts = rng.integers(0, 50, size=1 << m)
         assert np.array_equal(gf2m.wht(counts), _literal_wht(counts))
+        assert np.array_equal(oracles.wht(counts), _literal_wht(counts))
     with pytest.raises(ValueError, match="power-of-two"):
         gf2m.wht(np.ones(6, dtype=np.int64))
 
 
-def test_wht_reaches_its_int32_bound_at_2_20():
+def test_wht_against_the_butterfly_m0_to_m20():
+    # +-1 vectors as the all-b Weil kernel passes them, and the column counts of
+    # real codes: d0 (h = 1), and the even-regime full code at h = m/2, where
+    # each column repeats gcd(2^h+1, 2^m-1) = 2^h+1 times
+    rng = np.random.default_rng(13)
+    for m in range(0, 21):
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=1 << m)
+        w = gf2m.wht(signs)
+        assert w.dtype == np.int64 and np.array_equal(w, oracles.wht(signs))
+        if m < 2:
+            continue
+        ctx = gf2m.build_field(m)
+        count_vectors = [np.bincount(code_mod.make_code(ctx, 1, code_mod.D0).phis, minlength=ctx.q)]
+        if m % 2 == 0:
+            full = code_mod.make_code(ctx, m // 2, code_mod.FULL_STAR)
+            count_vectors.append(np.bincount(full.phis, minlength=ctx.q))
+            assert count_vectors[-1].max() == (1 << m // 2) + 1
+        for counts in count_vectors:
+            assert np.array_equal(gf2m.wht(counts), oracles.wht(counts)), m
+
+
+def test_wht_is_exact_to_2_24_in_float32_and_below_2_53_in_float64():
     size = 1 << 20
     for sign in (1, -1):
         w = gf2m.wht(np.full(size, sign, dtype=np.int64))
         assert w.dtype == np.int64
         assert w[0] == sign * size and not w[1:].any()
-    # a bound of 2^31 or more runs in int64 instead of wrapping
+    # a bound of 2^31 or more is exact too, where int32 stages would wrap
     big = np.zeros(4, dtype=np.int64)
     big[:2] = 1 << 31
     assert list(gf2m.wht(big)) == [1 << 32, 0, 1 << 32, 0]
+    # sum |v| = 2^24 is exact in float32, with signs in any place
+    rng = np.random.default_rng(24)
+    v = rng.multinomial(1 << 24, np.full(1 << 10, 1 / 1024)) * rng.choice([-1, 1], size=1 << 10)
+    assert np.abs(v).sum() == 1 << 24
+    assert np.array_equal(gf2m.wht(v), oracles.wht(v))
+    # one more and float32 would round 2^24 + 1; the transform goes to float64
+    assert list(gf2m.wht([1 << 24, 1, 0, 0])) == [(1 << 24) + 1, (1 << 24) - 1] * 2
+    assert list(gf2m.wht([-(1 << 24), -1, 0, 0])) == [-(1 << 24) - 1, 1 - (1 << 24)] * 2
+    # |-128| wraps in int8, so sum |v| is read unsigned: 2^24 + 1 here, not 1 - 2^24
+    v = np.zeros(1 << 18, dtype=np.int8)
+    v[0], v[1::2] = 1, -128
+    w = gf2m.wht(v)
+    assert w[1] == (1 << 24) + 1 and np.array_equal(w, oracles.wht(v))
+    assert list(gf2m.wht([(1 << 53) - 1, 0])) == [(1 << 53) - 1] * 2
+    for past in ([1 << 53, 0], [1 << 52, -(1 << 52)], [-(1 << 63), 0]):
+        with pytest.raises(ValueError, match="2\\^53"):
+            gf2m.wht(np.array(past, dtype=np.int64))
 
 
 def test_dual_coordinates_pairing():

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from tracecodes import code as code_mod
-from tracecodes import predict
+from tracecodes import gf2m, predict
 
 import cases
 
@@ -231,6 +231,17 @@ def test_format_sweep_content():
 
 def test_sweep_empty_range():
     assert predict.sweep([]) == []
+
+
+def test_sweep_refuses_an_out_of_range_m_before_any_work(monkeypatch):
+    with pytest.raises(ValueError) as refused:
+        gf2m.build_field(21)
+    calls = []
+    monkeypatch.setattr(gf2m, "build_field", lambda *args: calls.append(args))
+    for ms in (range(3, 22), [21, 3]):
+        with pytest.raises(ValueError) as exc:
+            predict.sweep(ms)
+        assert str(exc.value) == str(refused.value) and calls == []
 
 
 # Frozen: the range, its row counts and the time bound of the large sweep.
