@@ -18,9 +18,10 @@ evaluated at about 2^(m/2+1) points, and XOR doublings of its polar form
 fill in the rest, so no whole-field remainder or random gather is needed.
 
 The Walsh-Hadamard transform, wht, is about m/5 matrix products with the
-Sylvester matrix of order 2^r, r <= 5, each over r of the m index bits.
-They run in float32 or float64, whichever holds every intermediate value
-as an exact integer.
+Sylvester matrix of order 2^r, r <= 5, each over r of the m index bits on
+their own axis of the array, so no step transposes or rotates it.  They run
+in float32 or float64, whichever holds every intermediate value as an exact
+integer.
 """
 
 from __future__ import annotations
@@ -556,13 +557,13 @@ def wht(v: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z), as int64.
 
     The m index bits (v.size = 2^m) are split as evenly as possible into
-    ceil(m / 5) groups of r <= 5 bits.  Each group is one GEMM step: v viewed
-    as (2^(m-r), 2^r) is transposed and multiplied by the Sylvester matrix
-    H = H_(2^r), and the product is written as (2^r, 2^(m-r)) to a second
-    buffer.  A step transforms the low r index bits and rotates them to the
-    top, so after all steps every bit is transformed and back in place; the
-    transposed operand and the rotated output are strides handed to BLAS,
-    with no copy.
+    ceil(m / 5) groups of r <= 5 bits, and H_(2^m) is the Kronecker product
+    of one Sylvester matrix H = H_(2^r) per group.  Each group is one GEMM
+    step that transforms its bits where they lie, on their own axis, into a
+    second buffer: the lowest group is x viewed as (2^(m-r), 2^r) times H,
+    and a group starting at bit low is H times each (2^r, 2^low) block of x.
+    BLAS reads and writes only contiguous row-major blocks; no step
+    transposes or rotates the array.
 
     Every intermediate value, each BLAS partial sum in any order and with or
     without FMA included, is a signed sum of distinct entries of v, so its
@@ -589,10 +590,15 @@ def wht(v: np.ndarray) -> np.ndarray:
     y = np.empty_like(x)
     m = v.size.bit_length() - 1
     steps = -(-m // 5)
+    low = 0
     for i in range(steps):
         r = (m + i) // steps  # the even split, smaller groups first
-        size = 1 << r
-        np.matmul(_sylvester(r, x.dtype.type), x.reshape(-1, size).T, out=y.reshape(size, -1))
+        hadamard, size = _sylvester(r, x.dtype.type), 1 << r
+        if low:
+            np.matmul(hadamard, x.reshape(-1, size, 1 << low), out=y.reshape(-1, size, 1 << low))
+        else:
+            np.matmul(x.reshape(-1, size), hadamard, out=y.reshape(-1, size))  # H is symmetric
         x, y = y, x
+        low += r
     del y  # free the spare buffer before the int64 copy
     return x.astype(np.int64)

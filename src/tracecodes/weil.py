@@ -115,10 +115,10 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
     reduce is the gf2m.gf2_solver reduction of the left side; when m/h is
     odd (t = 1) that side is x^(q^2) + x for every a, so it is eliminated
     once per field and h.  character(x0) is Tr(a'*x0^(q+1) + t*x0) at an
-    int64 array of x0.  signed(bits, unsolvable) overwrites bits and returns
-    scale * (-1)^bit, and 0 where unsolvable; in the permutation branch
-    (unique) every right-hand side is solvable, so an unsolvable one there
-    is a RuntimeError.
+    int64 array of x0.  signed(bits, unsolvable) returns scale * (-1)^bit,
+    and 0 where unsolvable; in the permutation branch (unique) every
+    right-hand side is solvable, so an unsolvable one there is a
+    RuntimeError.
     """
     m = ctx.m
     q = 1 << h
@@ -144,13 +144,10 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
         bits = np.where(x0, ctx.trace_table[ctx.antilog_table[logs]], 0)
         return bits ^ ctx.trace_table[x0] if t else bits
 
-    values = np.array([scale, -scale, 0])
-
     def signed(bits, unsolvable):
         if unique and unsolvable.any():  # a table-construction bug
             raise RuntimeError(f"permutation branch unsolvable for m={m} h={h} a={a}")
-        bits[unsolvable] = 2
-        return values[bits]
+        return np.where(bits, -scale, scale) * ~unsolvable
 
     return u, t, reduce, character, signed
 

@@ -619,12 +619,16 @@ def test_wht_against_literal_transform():
 def test_wht_against_the_butterfly_m0_to_m20():
     # +-1 vectors as the all-b Weil kernel passes them, and the column counts of
     # real codes: d0 (h = 1), and the even-regime full code at h = m/2, where
-    # each column repeats gcd(2^h+1, 2^m-1) = 2^h+1 times
-    rng = np.random.default_rng(13)
+    # each column repeats gcd(2^h+1, 2^m-1) = 2^h+1 times; and small ints with
+    # one entry 2^24 + 1, so sum |v| > 2^24 runs the float64 steps at every m
+    rng, wide_rng = np.random.default_rng(13), np.random.default_rng(53)
     for m in range(0, 21):
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=1 << m)
         w = gf2m.wht(signs)
         assert w.dtype == np.int64 and np.array_equal(w, oracles.wht(signs))
+        wide = wide_rng.integers(-3, 4, size=1 << m)
+        wide[wide_rng.integers(1 << m)] = (1 << 24) + 1
+        assert np.array_equal(gf2m.wht(wide), oracles.wht(wide)), m
         if m < 2:
             continue
         ctx = gf2m.build_field(m)
