@@ -360,18 +360,6 @@ def pow(ctx: FieldCtx, a: int, k: int) -> int:  # noqa: A001 - field exponentiat
     return int(ctx.antilog_table[(int(ctx.log_table[a]) * k) % ctx.n_units])
 
 
-def relative_trace(ctx: FieldCtx, h: int, a: int) -> int:
-    """Trace of a from GF(2^m) onto the subfield GF(2^h), h a proper divisor of m."""
-    h = _validate_subfield_degree(ctx.m, h)
-    a = _check_element(ctx, a)
-    r = 0
-    cur = a
-    for _ in range(ctx.m // h):
-        r ^= cur
-        cur = pow(ctx, cur, 1 << h)
-    return r
-
-
 def basis_images(ctx: FieldCtx, c: int, k: int) -> np.ndarray:
     """c * e_j^(2^k) for every polynomial basis element e_j = x^j, j < m; c != 0."""
     logs = ctx.log_table[1 << np.arange(ctx.m, dtype=np.int64)]

@@ -226,9 +226,9 @@ def pless_check(dist) -> bool:
 def secret_sharing_ratio(dist) -> tuple[Fraction, bool]:
     """(w_min / w_max, ratio > 1/2) over nonzero weights, exact arithmetic.
 
-    Ratio above 1/2 means every nonzero codeword of the dual's complement
-    setup is minimal, the regime where the derived secret-sharing scheme
-    has clean access structure; at or below 1/2 the code is reported as
+    A ratio above 1/2 makes every nonzero codeword of the code C minimal
+    (Ashikhmin and Barg), so the secret-sharing scheme built on C's dual
+    has a clean access structure; at or below 1/2 the code is reported as
     unsuitable.
     """
     nz = [w for w, c in dist.counts.items() if w > 0 and c > 0]

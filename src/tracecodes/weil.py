@@ -16,10 +16,14 @@ the two routes remain independent checks of each other.  The all-b direct
 kernel scatters the same log-order bits into x order through the antilog
 table, then into Walsh bins through gf2m.dual_coordinates.
 
-Both regimes of the closed form are one computation.  With q = 2^h, the
-inputs are first normalised to (a', b') and a constant t in {0, 1}; then
-completing the square turns the sum into a character value at a solution
-x0 of the affine equation
+Both regimes of the closed form are one computation.  With q = 2^h and
+d = gcd(q+1, 2^m-1), write a = g^j * c^(q+1) with j = log a mod d.  The
+substitution x -> x/c gives S_h(a, b) = S_h(g^j, b/c) (R. S. Coulter, "On
+the evaluation of a class of Weil sums in characteristic 2", New Zealand J.
+Math., 1999), so the inputs are normalised to (a', b') = (g^j, b/c), of
+which there are d values of a'.  With a constant t in {0, 1}, completing
+the square turns the sum into a character value at a solution x0 of the
+affine equation
 
     a'^q * x^(q^2) + a' * x = (b' + t)^q,
 
@@ -31,20 +35,17 @@ closed kernels differ only in how they reach x0(b).  weil_sum_closed_many
 reduces each right-hand side.  weil_sum_closed_all_b tabulates the affine
 map b -> x0(b) with gf2m.linear_table, so b -> chi(a'*x0^(q+1) + t*x0) is
 GF(2)-quadratic in b and gf2m.quadratic_table fills it from about
-2^(m/2+1) values.
+2^(m/2+1) values.  The regime sets only t and the scale:
 
-* m/h even (m = 2e, eps = (-1)^(e/h)): (a', b') = (a, b) and t = 0.  The
-  scale is eps*2^e when a is not a (q+1)-th power (the left side is then a
-  permutation, so a solution always exists) and -eps*2^(e+h) when it is.
-  One published statement of the power branch splits it further on
-  Tr_h(a); that split contradicts direct evaluation already at m=4, h=1,
-  a=g^3 and is not reproduced here.
-* m/h odd: x -> x^(q+1) is a bijection, so a = c^(q+1) for one c, and the
-  substitution x -> x/c gives S_h(a, b) = S_h(1, b/c).  So (a', b') =
-  (1, b/c), t = 1 and the scale is (2 | m/h)^h * 2^((m+h)/2), where
-  (2 | m/h) is the Jacobi symbol (R. S. Coulter, "On the evaluation of a
-  class of Weil sums in characteristic 2", New Zealand J. Math., 1999).
-  The equation is solvable exactly when Tr_h(b/c) = 1.
+* m/h odd: d = 1, so j = 0 and a' = 1.  t = 1 and the scale is
+  (2 | m/h)^h * 2^((m+h)/2), where (2 | m/h) is the Jacobi symbol
+  (Coulter 1999).  The equation is solvable exactly when Tr_h(b/c) = 1.
+* m/h even (m = 2e, eps = (-1)^(e/h)): t = 0.  When j != 0, a is not a
+  (q+1)-th power, the left side is a permutation (so a solution always
+  exists) and the scale is eps*2^e; when j = 0 it is -eps*2^(e+h).  One
+  published statement of the power branch splits it further on Tr_h(a);
+  that split contradicts direct evaluation already at m=4, h=1, a=g^3 and
+  is not reproduced here.
 """
 
 from __future__ import annotations
@@ -95,13 +96,6 @@ def weil_sum_direct(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> int:
     return ctx.q - 2 * int(np.count_nonzero(bits))
 
 
-def is_power_2h_plus_1(ctx: gf2m.FieldCtx, h: int, a: int) -> bool:
-    """True iff a = c^(2^h+1) for some c; for m/h odd this holds for all a != 0."""
-    h, a, _ = _validate_query(ctx, h, a, 0)
-    d = math.gcd((1 << h) + 1, ctx.n_units)
-    return int(ctx.log_table[a]) % d == 0
-
-
 def epsilon(m: int, h: int) -> int:
     """(-1)^(e/h) with e = m/2; only meaningful when m/h is even."""
     return -1 if ((m // 2) // h) % 2 else 1
@@ -110,37 +104,34 @@ def epsilon(m: int, h: int) -> int:
 def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
     """(u, t, reduce, character, signed): the normalisation of the module docstring.
 
-    b' = u*b, so S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0) at any solution
-    x0 of a'^q x^(q^2) + a' x = (u*b + t)^q, and 0 when there is none.
-    reduce is the gf2m.gf2_solver reduction of the left side; when m/h is
-    odd (t = 1) that side is x^(q^2) + x for every a, so it is eliminated
-    once per field and h.  character(x0) is Tr(a'*x0^(q+1) + t*x0) at an
-    int64 array of x0.  signed(bits, unsolvable) returns scale * (-1)^bit,
-    and 0 where unsolvable; in the permutation branch (unique) every
-    right-hand side is solvable, so an unsolvable one there is a
-    RuntimeError.
+    u = 1/c, so b' = u*b and S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0) at
+    any solution x0 of a'^q x^(q^2) + a' x = (u*b + t)^q, and 0 when there
+    is none.  reduce is the gf2m.gf2_solver reduction of the left side,
+    which depends on a' = g^j alone, so it is eliminated once per field, h
+    and j: at most d times per field and h, and once when m/h is odd.
+    character(x0) is Tr(a'*x0^(q+1) + t*x0) at an int64 array of x0.
+    signed(bits, unsolvable) returns scale * (-1)^bit, and 0 where
+    unsolvable; in the permutation branch (unique) every right-hand side is
+    solvable, so an unsolvable one there is a RuntimeError.
     """
-    m = ctx.m
-    q = 1 << h
+    m, n, q = ctx.m, ctx.n_units, 1 << h
+    d = math.gcd(q + 1, n)
+    log_a = int(ctx.log_table[a])
+    j = log_a % d  # log a' for a = a' * c^(q+1)
+    s = pow((q + 1) // d, -1, n // d)  # c = g^(s*(log a - j)/d) has c^(q+1) = a/a'
+    u = int(ctx.antilog_table[(-s * ((log_a - j) // d)) % n])  # 1/c
     if (m // h) % 2:
-        n = ctx.n_units
-        s = pow(q + 1, -1, n)  # gcd(2^h+1, 2^m-1) = 1 in this regime
-        u = int(ctx.antilog_table[(-s * int(ctx.log_table[a])) % n])  # 1/c
         jacobi = -1 if h % 2 and (m // h) % 8 in (3, 5) else 1  # (2 | m/h)^h
-        a1, t, scale, unique = 1, 1, jacobi << ((m + h) // 2), False
+        t, scale, unique = 1, jacobi << ((m + h) // 2), False
     else:
         e, eps = m // 2, epsilon(m, h)
-        unique = not is_power_2h_plus_1(ctx, h, a)  # the power branch has a kernel
-        a1, u, t, scale = a, 1, 0, (eps << e if unique else -eps << (e + h))
-
-    def eliminate():
-        return gf2m.gf2_solver(gf2m.linearized_columns(ctx, h, a1), m)[0]
-
-    reduce = gf2m._cached(ctx, ("odd_reduce", h), eliminate) if t else eliminate()
-    log_a1 = int(ctx.log_table[a1])
+        unique = j != 0  # a is not a (q+1)-th power: the left side has no kernel
+        t, scale = 0, (eps << e if unique else -eps << (e + h))
+    reduce = gf2m._cached(ctx, ("reduce", h, j), lambda: gf2m.gf2_solver(
+        gf2m.linearized_columns(ctx, h, int(ctx.antilog_table[j])), m)[0])
 
     def character(x0):
-        logs = (log_a1 + ctx.log_table[x0] * (q + 1)) % ctx.n_units  # log(a1*x0^(q+1))
+        logs = (j + ctx.log_table[x0] * (q + 1)) % n  # log(a'*x0^(q+1))
         bits = np.where(x0, ctx.trace_table[ctx.antilog_table[logs]], 0)
         return bits ^ ctx.trace_table[x0] if t else bits
 
@@ -168,7 +159,7 @@ def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumVa
 def weil_sum_closed_many(ctx: gf2m.FieldCtx, h: int, a: int, bs) -> list[int]:
     """Closed-form S_h(a, b) for each b in bs, as weil_sum_closed computes it.
 
-    The linear map of the affine equation depends on a alone, so its one
+    The linear map of the affine equation depends on a' alone, so its one
     reduction serves every b; each right-hand side is reduced on its own.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)

@@ -3,8 +3,8 @@
 The whole-field ones are each one gather from the field's log and antilog
 tables, with none of the linear or quadratic table machinery of gf2m.  The
 scalar ones use no table at all: a shift-and-add product reduced by the
-modulus, and the trace as a sum of m - 1 squarings.  The Walsh transform
-is the pair butterfly in int64, with no floating point.
+modulus, and the absolute and relative traces as sums of squarings.  The
+Walsh transform is the pair butterfly in int64, with no floating point.
 """
 
 from __future__ import annotations
@@ -50,6 +50,17 @@ def raw_trace(x: int, modulus: int, m: int) -> int:
         x = raw_mul(x, x, modulus, m)
         t ^= x
     assert t in (0, 1)
+    return t
+
+
+def relative_trace(x: int, h: int, modulus: int, m: int) -> int:
+    """Tr_h(x) = x + x^(2^h) + ... + x^(2^(m-h)) onto GF(2^h), h dividing m,
+    by raw_mul squarings."""
+    t = 0
+    for _ in range(m // h):
+        t ^= x
+        for _ in range(h):
+            x = raw_mul(x, x, modulus, m)
     return t
 
 

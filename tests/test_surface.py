@@ -21,7 +21,6 @@ KEEP = {
     "weil_sum_closed_all_b": "a benchmark operation",
     "codeword_weight_formula": "a benchmark operation",
     "subfield_image_counts": "acceptance criterion 7 counts with it",
-    "relative_trace": "the tests' reference for Tr_h",
     "is_irreducible": "the tests check their moduli with it",
 }
 

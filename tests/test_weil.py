@@ -8,8 +8,12 @@ including the batch kernels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecodes import gf2m, weil
 
@@ -79,7 +83,7 @@ def test_odd_regime_magnitude_branch():
     for b in range(ctx.q):
         got = weil.weil_sum_closed(ctx, 1, 1, b)
         assert got.value == weil.weil_sum_direct(ctx, 1, 1, b)
-        assert (got.value == 0) == (gf2m.relative_trace(ctx, 1, b) != 1)
+        assert (got.value == 0) == (oracles.relative_trace(b, 1, ctx.modulus, 3) != 1)
     # a spread of a at m = 9, with c the unique (2^h+1)-th root of a
     ctx = gf2m.build_field(9)
     for h in (1, 3):
@@ -90,7 +94,7 @@ def test_odd_regime_magnitude_branch():
                 got = weil.weil_sum_closed(ctx, h, a, b).value
                 assert got == weil.weil_sum_direct(ctx, h, a, b), (h, a, b)
                 beta = gf2m.mul(ctx, b, cinv)
-                assert (got == 0) == (gf2m.relative_trace(ctx, h, beta) != 1), (h, a, b)
+                assert (got == 0) == (oracles.relative_trace(beta, h, ctx.modulus, 9) != 1), (h, a, b)
 
 
 def test_closed_equals_direct_exhaustive_small_m():
@@ -195,15 +199,27 @@ def test_even_regime_value_set():
             assert set(int(x) for x in np.unique(v)) <= allowed
 
 
+def _powers(ctx, h: int) -> set[int]:
+    """The (2^h+1)-th powers of the units, by literal powering."""
+    return set(oracles.power_table(ctx, (1 << h) + 1)[1:].tolist())
+
+
+def _magnitudes(ctx, h: int, a: int) -> set[int]:
+    """The magnitudes of the nonzero closed values S_h(a, b) over every b."""
+    v, _ = weil.weil_sum_closed_all_b(ctx, h, a)
+    return {abs(int(x)) for x in v if x}
+
+
 def test_power_branch_magnitude_is_large():
     # when a is a (2^h+1)-th power, every nonzero value has the 2^(e+h)
     # magnitude; the small magnitude belongs to the permutation branch
     ctx = gf2m.build_field(4)
     e, h = 2, 1
+    powers = _powers(ctx, h)
     for a in range(1, 16):
         v, _ = weil.weil_sum_closed_all_b(ctx, h, a)
         mags = {abs(int(x)) for x in v if x}
-        if weil.is_power_2h_plus_1(ctx, h, a):
+        if a in powers:
             assert mags == {1 << (e + h)}
             assert int((v != 0).sum()) == 1 << (4 - 2 * h)
         else:
@@ -212,23 +228,64 @@ def test_power_branch_magnitude_is_large():
 
 
 def test_is_power_against_exhaustive_powering():
+    # the branch is observable: a is a (2^h+1)-th power exactly when its
+    # nonzero closed values all have the power-branch magnitude, 2^(e+h)
+    # when m/h is even; when m/h is odd every a is a power and every a
+    # has the one magnitude 2^((m+h)/2)
     for m, h in ((4, 1), (6, 1), (6, 2), (8, 2)):
         ctx = gf2m.build_field(m)
-        t = (1 << h) + 1
-        powers = {gf2m.pow(ctx, x, t) for x in range(1, ctx.q)}
-        for a in range(1, ctx.q):
-            assert weil.is_power_2h_plus_1(ctx, h, a) == (a in powers)
+        big = 1 << ((m + h) // 2 if (m // h) % 2 else m // 2 + h)
+        observed = {a for a in range(1, ctx.q) if _magnitudes(ctx, h, a) == {big}}
+        assert observed == _powers(ctx, h), (m, h)
 
 
 def test_is_power_frozen_m4_cubes():
     ctx = gf2m.build_field(4)
-    cubes = [a for a in range(1, 16) if weil.is_power_2h_plus_1(ctx, 1, a)]
-    assert cubes == [1, 8, 10, 12, 15]
+    assert sorted(_powers(ctx, 1)) == [1, 8, 10, 12, 15]
+    assert [a for a in range(1, 16) if _magnitudes(ctx, 1, a) == {8}] == [1, 8, 10, 12, 15]
 
 
 def test_is_power_always_true_in_odd_regime():
     ctx = gf2m.build_field(5)
-    assert all(weil.is_power_2h_plus_1(ctx, 1, a) for a in range(1, 32))
+    assert _powers(ctx, 1) == set(range(1, 32))
+    assert all(_magnitudes(ctx, 1, a) == {8} for a in range(1, 32))
+
+
+def test_one_elimination_per_coset(monkeypatch):
+    # the closed route eliminates the left side once per a' = g^j, j < d:
+    # at most d times per field and h, and once when m/h is odd (d = 1)
+    solver = gf2m.gf2_solver
+    calls = []
+
+    def counting(cols, m):
+        calls.append(m)
+        return solver(cols, m)
+
+    monkeypatch.setattr(gf2m, "gf2_solver", counting)
+    for m, h in ((8, 2), (8, 4), (12, 6), (9, 3)):
+        ctx = gf2m.build_field(m)
+        calls.clear()
+        for a in range(1, ctx.q):
+            weil.weil_sum_closed_all_b(ctx, h, a)
+            weil.weil_sum_closed(ctx, h, a, a)
+        d = math.gcd((1 << h) + 1, ctx.n_units)
+        assert 1 <= len(calls) <= d, (m, h, d, len(calls))
+        if (m // h) % 2:
+            assert d == 1 and len(calls) == 1, (m, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases.irreducible_modulus(12), st.data())
+def test_closed_equals_direct_in_a_random_basis(modulus, data):
+    # j and c depend on the generator, so on the modulus
+    ctx = gf2m.build_field(gf2m.poly_degree(modulus), modulus)
+    a = data.draw(st.integers(1, ctx.q - 1), label="a")
+    bs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=3), label="bs")
+    for h in cases.divisors(ctx.m):
+        v, _ = weil.weil_sum_closed_all_b(ctx, h, a)
+        assert np.array_equal(v, weil.weil_sum_direct_all_b(ctx, h, a)), (h, a)
+        for b in bs:
+            assert weil.weil_sum_closed(ctx, h, a, b).value == weil.weil_sum_direct(ctx, h, a, b)
 
 
 def test_subfield_image_counts():
