@@ -35,7 +35,7 @@ weight distribution is a histogram, so it needs no reindexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
 
@@ -149,25 +149,24 @@ def _rank(ctx: gf2m.FieldCtx, cols: np.ndarray) -> int:
 
 @dataclass(eq=False)
 class LinearCode:
-    """A constructed code: context, exponent marker, columns, length, rank.
-
-    h = 0 marks the identity column map (punctured codes); otherwise columns
-    are phi(d) = d^(2^h+1) over the defining set, read from
-    gf2m.power_map_table.  phis holds the evaluated column multipliers
-    (int64) in defining-set order; k is the GF(2) rank of
-    their span, which equals the code dimension because the trace form is
-    nondegenerate.  k is computed by _rank: a strided sample of about 8m
-    columns, and only if that falls short of rank m the distinct nonzero
-    columns in log order (_distinct_nonzero); both span subspaces of the
-    span of phis, and together the same space.
+    """A constructed code: its field, h, defining set and columns phis
+    (int64, in defining-set order).  The length n = len(phis) and the
+    dimension k, the GF(2) rank of the columns (_rank), are derived from
+    the columns when the code is built.
     """
 
     ctx: gf2m.FieldCtx
     h: int
     defset: DefiningSet
     phis: np.ndarray
-    n: int
-    k: int
+    k: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.k = _rank(self.ctx, self.phis)
+
+    @property
+    def n(self) -> int:
+        return len(self.phis)
 
 
 @dataclass(frozen=True)
@@ -204,15 +203,7 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
         raise ValueError(
             f"defining-set element {int(bad[0])} is not a nonzero element of GF(2^{ctx.m})"
         )
-    phis = gf2m.power_map_table(ctx, h)[els].astype(np.int64)
-    return LinearCode(
-        ctx=ctx,
-        h=h,
-        defset=defset,
-        phis=phis,
-        n=len(defset),
-        k=_rank(ctx, phis),
-    )
+    return LinearCode(ctx, h, defset, gf2m.power_map_table(ctx, h)[els].astype(np.int64))
 
 
 def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
@@ -221,14 +212,7 @@ def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
     if ctx.m <= 2:
         raise ValueError("punctured construction needs m > 2")
     ds = defining_set(ctx, PUNCTURED_IMAGE, h)
-    return LinearCode(
-        ctx=ctx,
-        h=0,
-        defset=ds,
-        phis=ds.elements,
-        n=len(ds),
-        k=_rank(ctx, ds.elements),
-    )
+    return LinearCode(ctx, h, ds, ds.elements)
 
 
 def variants(m: int, h: int) -> tuple[str, ...]:
@@ -241,7 +225,6 @@ def variants(m: int, h: int) -> tuple[str, ...]:
 def make_code(ctx: gf2m.FieldCtx, h: int, kind: str) -> LinearCode:
     """The code of one kind at h: punctured_code for the punctured image,
     build_code on its defining set for the others."""
-    h = gf2m._validate_subfield_degree(ctx.m, h)
     if kind == PUNCTURED_IMAGE:
         return punctured_code(ctx, h)
     return build_code(ctx, h, defining_set(ctx, kind))

@@ -423,13 +423,11 @@ def linear_table(images) -> np.ndarray:
     with f(e_j) = images[j].
 
     images[j] may be an int or a vector of w ints, giving a table of shape
-    (2^m, w); the table keeps an integer dtype of images and is int64
-    otherwise.  The table for the first j basis elements doubles to the
-    table for j + 1 by XOR with f(e_j), in O(2^m).
+    (2^m, w) in the integer dtype of images.  The table for the first j
+    basis elements doubles to the table for j + 1 by XOR with f(e_j), in
+    O(2^m).
     """
     images = np.asarray(images)
-    if images.dtype.kind not in "iu":
-        images = images.astype(np.int64)
     out = np.zeros((1 << len(images),) + images.shape[1:], dtype=images.dtype)
     for j, image in enumerate(images):
         np.bitwise_xor(out[:1 << j], image, out=out[1 << j:2 << j])

@@ -40,6 +40,13 @@ def test_construct_text_names_the_modulus(capsys):
     assert "k=2" in out  # norm map: rank drops to h
 
 
+def test_construct_reports_the_h_of_a_punctured_code(capsys):
+    rc = cli.run(["construct", "--m", "6", "--h", "1", "--variant", "punctured"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "m=6 modulus=67 generator=2 variant=punctured h=1 n=21 k=6")
+
+
 def test_construct_honors_modulus_flag(capsys):
     rc = cli.run(["construct", "--m", "5", "--h", "1", "--variant", "d0",
                   "--modulus", "0b101001"])
@@ -140,7 +147,7 @@ def test_export_m20_punctured(capsys):
     rc = cli.run(["export", "--m", "20", "--h", "5", "--variant", "punctured"])
     lines = capsys.readouterr().out.split("\n")
     assert rc == 0
-    assert lines[0] == f"31775 20 20 0 {gf2m.build_field(20).modulus}"
+    assert lines[0] == f"31775 20 20 5 {gf2m.build_field(20).modulus}"
     assert lines[-1] == "" and len(lines) == 22
     assert all(len(row) == 31775 and set(row) <= {"0", "1"} for row in lines[1:-1])
 

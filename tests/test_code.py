@@ -8,6 +8,7 @@ the batch enumeration, formula vs enumeration, two moduli per degree).
 from __future__ import annotations
 
 import io
+import random
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_defining_set_accepts_ints_and_integer_arrays():
     ctx = gf2m.build_field(5)
     ref = code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, [3, 5, 6]))
     for els in ((3, 5, 6), [np.int32(3), 5, np.uint8(6)], np.array([3, 5, 6], dtype=np.uint16),
-                np.array([3, 5, 6], dtype=np.uint64)):
+                np.array([3, 5, 6], dtype=np.uint64), np.array([3, 5, 6], dtype=object)):
         ds = code_mod.DefiningSet(code_mod.D0, els)
         assert ds.elements.dtype == np.int64 and ds.elements.tolist() == [3, 5, 6]
         lc = code_mod.build_code(ctx, 1, ds)
@@ -329,7 +330,7 @@ def test_build_code_columns_are_literal_powers():
     for m in range(2, 11):
         ctx = gf2m.build_field(m)
         for h, lc in cases.every_code(ctx):
-            if lc.h == 0:
+            if lc.defset.kind == code_mod.PUNCTURED_IMAGE:
                 continue
             t = (1 << h) + 1
             literal = [gf2m.pow(ctx, int(d), t) for d in lc.defset.elements]
@@ -361,9 +362,10 @@ def test_walsh_route_equals_literal_column_count():
 def _assert_rank_oracle(ctx):
     for h, lc in cases.every_code(ctx):
         case = (ctx.m, ctx.modulus, h, lc.defset.kind)
+        assert lc.h == h and lc.n == len(lc.defset) == len(lc.phis), case
         # the rank of every column in its given order, duplicates and all
         assert lc.k == gf2m.gf2_rank(lc.phis.tolist(), ctx.m), case
-        if lc.h == 0:
+        if lc.defset.kind == code_mod.PUNCTURED_IMAGE:
             image = np.unique(oracles.power_table(ctx, (1 << h) + 1)[1:])
             assert lc.defset.elements.dtype == image.dtype, case
             assert np.array_equal(lc.defset.elements, image), case
@@ -383,6 +385,25 @@ def test_rank_oracle_smallest_and_largest_modulus():
 @given(cases.irreducible_modulus(12))
 def test_rank_oracle_in_a_random_basis(modulus):
     _assert_rank_oracle(gf2m.build_field(gf2m.poly_degree(modulus), modulus))
+
+
+def test_linear_code_takes_length_and_rank_from_its_columns():
+    # r random vectors and draws from their span, zero included, repeated and
+    # shuffled, for every r <= m; n and k follow from the columns alone
+    rng = random.Random(18)
+    for m in (3, 6, 10):
+        ctx = gf2m.build_field(m)
+        ds = code_mod.defining_set(ctx, code_mod.FULL_STAR)
+        for r in range(m + 1):
+            basis = [rng.randrange(1, ctx.q) for _ in range(r)]
+            span = [0]
+            for v in basis:
+                span = sorted(set(span) | {x ^ v for x in span})
+            cols = basis + rng.choices(span, k=rng.randrange(1, 4 * len(span)))
+            rng.shuffle(cols)
+            lc = code_mod.LinearCode(ctx, 1, ds, np.array(cols, dtype=np.int64))
+            assert lc.n == len(cols), (m, r)
+            assert lc.k == gf2m.gf2_rank(cols, m) == gf2m.gf2_rank(basis, m), (m, r)
 
 
 def _counting_distinct_nonzero(monkeypatch):

@@ -8,6 +8,7 @@ of shipping it separately from the corrected variant.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -90,6 +91,9 @@ def test_applicability_gates():
         predict.predict_distribution(5, 1, "T9")
     with pytest.raises(ValueError):
         predict.predict_distribution(5, 2, predict.T1)  # 2 does not divide 5
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"m must be an integer >= 2, got {m}"):
+            predict.predict_distribution(m, 1, predict.T1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +126,11 @@ def test_printed_variant_second_moment_numbers():
 def test_pless_check_on_enumerations():
     for m, h, kind in ((5, 1, code_mod.D0), (5, 1, code_mod.D1), (8, 2, code_mod.D1)):
         assert predict.pless_check(cases.distribution(m, h, kind))
+    # the [15,5,6] code without its weight-10 row fails the first moment: 25
+    # nonzero messages, not 31
+    dist = cases.distribution(5, 1, code_mod.D0)
+    assert not predict.pless_check(
+        dataclasses.replace(dist, counts={w: c for w, c in dist.counts.items() if w != 10}))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +152,11 @@ def test_verify_rejects_parameter_mismatch():
     dist = cases.distribution(5, 1, code_mod.D0)  # n=15, but the trace-1 table has n=16
     with pytest.raises(ValueError, match="parameter mismatch"):
         predict.verify(predict.predict_distribution(5, 1, predict.T2C), dist)
+    # same n, but the counts cover 33 messages where the table covers 2^5
+    dist = cases.distribution(5, 1, code_mod.D1)
+    extra = dataclasses.replace(dist, counts={**dist.counts, 0: dist.counts[0] + 1})
+    with pytest.raises(ValueError, match="covers 33 messages, expected 2\\^5"):
+        predict.verify(predict.predict_distribution(5, 1, predict.T2C), extra)
 
 
 def test_verify_handles_norm_collapse():
