@@ -124,9 +124,7 @@ def _cmd_verify(args) -> int:
     dist = code_mod.weight_distribution(_make_code(args))
     report = predict.check_case(dist, args.m, args.h, args.variant, args.source)
     if report.status == predict.INAPPLICABLE:
-        _emit([("status", predict.INAPPLICABLE),
-               ("note", f"no table covers variant={args.variant} at m={args.m} h={args.h}")],
-              args.format)
+        _emit([("status", report.status), ("note", report.note)], args.format)
         return 0
     _emit(
         [("source", report.source), ("status", report.status), ("n", report.n),

@@ -51,6 +51,11 @@ PUNCTURED_IMAGE = "punctured"
 KINDS = (D0, D1, FULL_STAR, PUNCTURED_IMAGE)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown defining-set kind {kind!r}; expected one of {KINDS}")
+
+
 @dataclass(frozen=True, eq=False)
 class DefiningSet:
     """Coordinate index set, elements (int64) in ascending integer order.
@@ -105,8 +110,7 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
                 f"x -> x^(2^{h}+1) is a bijection (gcd(2^{h}+1, 2^{ctx.m}-1) = 1)"
             )
         return DefiningSet(kind, np.sort(ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)]))
-    if kind not in (D0, D1, FULL_STAR):
-        raise ValueError(f"unknown defining-set kind {kind!r}; expected one of {KINDS}")
+    _check_kind(kind)
 
     def build():
         if kind == D0:

@@ -67,7 +67,6 @@ class TheoremPrediction:
     h: int
     n: int
     counts: dict
-    hypothesis: str
 
 
 @dataclass
@@ -137,14 +136,10 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
         dev = 1 << ((m - h - 2) // 2)
         if source == T1:  # one word shorter, and the deviation changes sign
             n, dev = n - 1, -dev
-            hyp = "m/h odd, trace-0 set"
         elif source == T2:
             dev = _pow2((m - h - 4) // 2)
-            hyp = "m/h odd, trace-1 set (as printed; fails the second power moment)"
-        else:
-            hyp = "m/h odd, trace-1 set (moment-corrected)"
         rows = [(w_mid - spread, half - dev), (w_mid, a_mid), (w_mid + spread, half + dev)]
-        return TheoremPrediction(source, m, h, n, _merge(rows), hyp)
+        return TheoremPrediction(source, m, h, n, _merge(rows))
 
     if mh % 2:
         raise Inapplicable(f"{source} needs m/h even; m={m}, h={h} gives m/h={mh}")
@@ -174,7 +169,6 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
                 (1 << (m - 2 * h - 1)) + eps * (1 << (e - h - 1))
             )
             a4 = _exact_div(((1 << (m - 1)) - 1 + eps * (1 << (e - 1))) << h, den)
-            hyp = "m/h even > 2, trace-0 set"
         else:
             n = 1 << (m - 1)
             a1 = _exact_div((1 << (m - 2 * h - 1)) + eps * (1 << (e - h - 1)), den)
@@ -185,9 +179,8 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
                 - ((1 << h) - 1) * (1 << (m - 2 * h - 1))
             )
             a4 = _exact_div(((1 << e) - eps) << (e + h - 1), den)
-            hyp = "m/h even > 2, trace-1 set"
         rows = [(w1, a1), (w2, a2), (w3, a3), (w4, a4)]
-        return TheoremPrediction(source, m, h, n, _merge(rows), hyp)
+        return TheoremPrediction(source, m, h, n, _merge(rows))
 
     # T5 / C6
     if m <= 2:
@@ -198,15 +191,9 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
     a_low = _exact_div(units << h, den)
     a_high = _exact_div(units, den)
     if source == T5:
-        return TheoremPrediction(
-            T5, m, h, units, _merge([(w_low, a_low), (w_high, a_high)]),
-            "m/h even, m > 2, all nonzero elements",
-        )
+        return TheoremPrediction(T5, m, h, units, _merge([(w_low, a_low), (w_high, a_high)]))
     rows = [(_exact_div(w_low, den), a_low), (_exact_div(w_high, den), a_high)]
-    return TheoremPrediction(
-        C6, m, h, _exact_div(units, den), _merge(rows),
-        "m/h even, m > 2, punctured image",
-    )
+    return TheoremPrediction(C6, m, h, _exact_div(units, den), _merge(rows))
 
 
 def pless_check(dist) -> bool:
@@ -295,12 +282,14 @@ def check_case(dist: code_mod.WeightDistribution, m: int, h: int, variant: str,
                source: str | None = None) -> VerificationReport:
     """Verify one enumerated code against its table: source when given,
     otherwise the one that applies to the variant at (m, h).  When none
-    applies the report is inapplicable and its note says why."""
+    applies the report is inapplicable and its note says so.  A variant
+    that is not one of code.KINDS is a ValueError."""
     m, h = _validate_params(m, h)
+    code_mod._check_kind(variant)
     source = source or _applicable_source(variant, m // h, m)
     if source is None:
         return _report(m, h, variant, dist, INAPPLICABLE, source="",
-                       note=_gap_reason(variant, m // h))
+                       note=f"no table covers variant={variant} at m={m} h={h}")
     return verify(predict_distribution(m, h, source), dist, variant)
 
 
@@ -326,7 +315,6 @@ def sweep(
                 if variant == code_mod.D1 and (m // h) % 2:
                     adj = check_case(dist, m, h, variant, T2)
                     adj.informational = True
-                    adj.note = "as-printed adjudication; expected to fail"
                     reports.append(adj)
     return reports
 
@@ -339,14 +327,6 @@ def _applicable_source(variant: str, mh: int, m: int) -> str | None:
     if variant == code_mod.FULL_STAR:
         return T5 if mh % 2 == 0 and m > 2 else None
     return C6 if mh % 2 == 0 and m > 2 else None
-
-
-def _gap_reason(variant: str, mh: int) -> str:
-    if variant == code_mod.FULL_STAR:
-        return "m/h odd: single-weight regime, no table applies"
-    if mh == 2:
-        return "m/h = 2: no table covers the trace-split codes here"
-    return "no table applies"
 
 
 def format_sweep(reports: list[VerificationReport]) -> str:

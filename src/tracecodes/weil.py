@@ -170,29 +170,6 @@ def weil_sum_closed_many(ctx: gf2m.FieldCtx, h: int, a: int, bs) -> list[int]:
     return signed(character(x0 & (ctx.q - 1)), x0 >= ctx.q).tolist()
 
 
-def subfield_image_counts(ctx: gf2m.FieldCtx, h: int) -> tuple[int, int]:
-    """(T0, T1): how many x have Tr(x^(2^h+1)) equal to 0 resp. 1; m/h even.
-
-    Counted directly over the field, then asserted against the closed forms
-    T0 = 2^(m-1) - eps*2^(e+h-1), T1 = 2^(m-1) + eps*2^(e+h-1).
-    """
-    h = gf2m._validate_subfield_degree(ctx.m, h)
-    m = ctx.m
-    if (m // h) % 2:
-        raise ValueError(f"subfield image counts need m/h even, got m={m} h={h}")
-    powers = gf2m.power_map_table(ctx, h)
-    t0 = int((ctx.trace_table[powers] == 0).sum())
-    t1 = ctx.q - t0
-    eps = epsilon(m, h)
-    expect_t0 = (1 << (m - 1)) - eps * (1 << (m // 2 + h - 1))
-    if t0 != expect_t0:
-        raise RuntimeError(
-            f"direct count T0={t0} disagrees with closed form {expect_t0} "
-            f"for m={m} h={h}"
-        )
-    return t0, t1
-
-
 # ---------------------------------------------------------------------------
 # Batch kernels: evaluate S_h(a, b) for a fixed a and every b at once.
 # These power the exhaustive oracle-equivalence sweeps.

@@ -131,12 +131,16 @@ def test_criterion_6_character_sum_oracle_equivalence():
 
 
 def test_criterion_7_image_trace_split_counts():
+    # T0 - T1 = S_h(1, 0): the trace split is one Weil sum, read off the
+    # direct route and held against the closed route
     counted = 0
     for m, h in _divisor_pairs(range(3, 13)):
         if (m // h) % 2:
             continue
         ctx = gf2m.build_field(m)
-        t0, t1 = weil.subfield_image_counts(ctx, h)
+        s = weil.weil_sum_direct(ctx, h, 1, 0)
+        assert weil.weil_sum_closed(ctx, h, 1, 0).value == s, (m, h)
+        t0, t1 = (ctx.q + s) // 2, (ctx.q - s) // 2
         e = m // 2
         eps = -1 if (e // h) % 2 else 1
         assert t0 == (1 << (m - 1)) - eps * (1 << (e + h - 1)), (m, h)

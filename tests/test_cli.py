@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tracecodes
 from tracecodes import cli, gf2m, predict, weil
 from tracecodes import code as code_mod
 
@@ -76,9 +79,13 @@ def test_verify_forced_printed_table_fails(capsys):
 
 def test_verify_uncovered_variant_is_inapplicable(capsys):
     rc = cli.run(["verify", "--m", "3", "--h", "1", "--variant", "full"])
-    out = capsys.readouterr().out
     assert rc == 0
-    assert "status=inapplicable" in out and "full" in out
+    assert capsys.readouterr().out == (
+        "status=inapplicable note=no table covers variant=full at m=3 h=1\n")
+    rc = cli.run(["verify", "--m", "6", "--h", "3", "--variant", "d0", "--format", "machine"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "status=inapplicable\nnote=no table covers variant=d0 at m=6 h=3\n")
 
 
 def test_verify_norm_collapse_note(capsys):
@@ -225,10 +232,13 @@ def test_sweep_refuses_m_past_the_field_range_before_any_work(capsys, monkeypatc
 
 
 def test_module_entrypoint_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(tracecodes.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tracecodes", "weights",
          "--m", "4", "--h", "1", "--variant", "d1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n=8 k=4 d=2"

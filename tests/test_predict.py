@@ -159,6 +159,18 @@ def test_verify_rejects_parameter_mismatch():
         predict.verify(predict.predict_distribution(5, 1, predict.T2C), extra)
 
 
+def test_check_case_refuses_an_unknown_variant():
+    # an unknown name must not fall through to the punctured table
+    punctured = cases.distribution(6, 1, code_mod.PUNCTURED_IMAGE)
+    assert predict.check_case(punctured, 6, 1, code_mod.PUNCTURED_IMAGE).status == predict.MATCH
+    with pytest.raises(ValueError, match="unknown defining-set kind 'bogus'"):
+        predict.check_case(punctured, 6, 1, "bogus")
+    with pytest.raises(ValueError, match="unknown defining-set kind 'D0'"):
+        predict.check_case(cases.distribution(6, 3, code_mod.D0), 6, 3, "D0")
+    with pytest.raises(ValueError, match="unknown defining-set kind 'bogus'"):
+        predict.check_case(punctured, 6, 1, "bogus", predict.C6)
+
+
 def test_verify_handles_norm_collapse():
     # m = 2h: the table predicts a zero-weight row; enumeration folds it
     # into the zero-codeword count and the rank drop is reported, not hidden

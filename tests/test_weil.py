@@ -289,16 +289,13 @@ def test_closed_equals_direct_in_a_random_basis(modulus, data):
 
 
 def test_subfield_image_counts():
-    ctx4 = gf2m.build_field(4)
-    assert weil.subfield_image_counts(ctx4, 1) == (4, 12)
-    ctx6 = gf2m.build_field(6)
-    assert weil.subfield_image_counts(ctx6, 1) == (40, 24)
+    # T0 zeros and T1 ones of Tr(x^(2^h+1)) over the field: T0 - T1 = S_h(1, 0)
+    for m, h, t0 in ((4, 1, 4), (6, 1, 40)):
+        assert (1 << m) + weil.weil_sum_direct(gf2m.build_field(m), h, 1, 0) == 2 * t0
     for m, h in ((4, 2), (6, 3), (8, 2), (8, 4), (10, 1)):
         ctx = gf2m.build_field(m)
-        t0, t1 = weil.subfield_image_counts(ctx, h)
-        assert t0 + t1 == ctx.q
-    with pytest.raises(ValueError, match="even"):
-        weil.subfield_image_counts(ctx6, 2)
+        ones = int(ctx.trace_table[gf2m.power_map_table(ctx, h)].sum())
+        assert weil.weil_sum_direct(ctx, h, 1, 0) == ctx.q - 2 * ones, (m, h)
 
 
 def test_query_validation():
