@@ -19,8 +19,8 @@ without a remainder or random gather over the field.
 The rank k is read off a strided sample of about 8m columns first; a
 full-rank code reaches rank m within that sample and touches no other
 column.  Only when the sample falls short does the rank go on to the
-distinct nonzero columns, read off one presence mask over the field in log
-order g^0, g^1, ...: a code whose rank collapses to k (m = 2h) has at most
+distinct nonzero columns, read off one presence mask over the field in
+integer order: a code whose rank collapses to k (m = 2h) has at most
 2^k - 1 of them.  The punctured defining set, the image of x -> x^(2^h+1)
 on the cyclic group GF(2^m)^*, is the subgroup <g^d> with
 d = gcd(2^h+1, 2^m-1), read off the antilog table with stride d.
@@ -127,11 +127,11 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
 
 
 def _distinct_nonzero(ctx: gf2m.FieldCtx, values: np.ndarray) -> np.ndarray:
-    """The distinct nonzero values among field elements, in log order g^0, g^1, ...,
+    """The distinct nonzero values among field elements, in integer order,
     marked in one bool[q] presence mask, O(q)."""
     present = np.zeros(ctx.q, dtype=bool)
     present[values] = True
-    return ctx.antilog_table[present[ctx.antilog_table]]
+    return np.flatnonzero(present[1:]) + 1
 
 
 def _rank(ctx: gf2m.FieldCtx, cols: np.ndarray) -> int:
@@ -238,15 +238,15 @@ def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:
     """Weight of the codeword of message b in the trace-a code, via Weil sums.
 
     wt = 2^(m-2) - (S_h(b, 0) + (-1)^a * S_h(b, 1)) / 4, with both sums taken
-    from the signed closed form with one shared elimination, so the weight
-    costs O(m^2) bit operations at every m.
+    from the signed closed form, whose elimination weil caches per coset of
+    b, so the weight costs O(m^2) bit operations at every m.
     """
     if gf2m._as_int(a, "a") not in (0, 1):
         raise ValueError("a selects the trace-0 or trace-1 defining set; use 0 or 1")
     b = gf2m._check_element(ctx, b, "b")
     if b == 0:
         raise ValueError("b = 0 is the zero codeword; its weight is 0 by definition")
-    v0, v1 = weil.weil_sum_closed_many(ctx, h, b, (0, 1))
+    v0, v1 = weil.weil_sum_closed(ctx, h, b, 0).value, weil.weil_sum_closed(ctx, h, b, 1).value
     num = v0 + (v1 if a == 0 else -v1)
     if num % 4:
         raise RuntimeError(f"character-sum combination {num} is not divisible by 4")

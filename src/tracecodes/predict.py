@@ -74,7 +74,7 @@ class VerificationReport:
     m: int
     h: int
     variant: str
-    source: str
+    prediction: TheoremPrediction | None  # the table checked against; None if none applies
     status: str
     n: int
     k: int
@@ -86,6 +86,10 @@ class VerificationReport:
     ss_suitable: bool | None = None
     informational: bool = False
     note: str = ""
+
+    @property
+    def source(self) -> str:
+        return self.prediction.source if self.prediction else ""
 
 
 def _validate_params(m: int, h: int) -> tuple[int, int]:
@@ -113,11 +117,6 @@ def _merge(rows: Iterable[tuple[int, object]]) -> dict:
     return dict(sorted(out.items()))
 
 
-def _pow2(exp: int):
-    """2^exp as int, or an exact Fraction when exp < 0 (T2-as-printed only)."""
-    return 1 << exp if exp >= 0 else Fraction(1, 1 << -exp)
-
-
 def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
     """Evaluate the named table for (m, h); Inapplicable when its hypothesis fails."""
     m, h = _validate_params(m, h)
@@ -136,8 +135,8 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
         dev = 1 << ((m - h - 2) // 2)
         if source == T1:  # one word shorter, and the deviation changes sign
             n, dev = n - 1, -dev
-        elif source == T2:
-            dev = _pow2((m - h - 4) // 2)
+        elif source == T2:  # 2^((m-h-4)/2), an exact Fraction 1/2 when m - h = 2
+            dev = dev // 2 or Fraction(1, 2)
         rows = [(w_mid - spread, half - dev), (w_mid, a_mid), (w_mid + spread, half + dev)]
         return TheoremPrediction(source, m, h, n, _merge(rows))
 
@@ -248,7 +247,7 @@ def verify(
     keys = sorted(set(expected) | set(dist.counts))
     details = [(w, expected.get(w, 0), dist.counts.get(w, 0)) for w in keys]
     status = MATCH if all(e == a for _, e, a in details) else MISMATCH
-    return _report(pred.m, pred.h, variant, dist, status, source=pred.source, details=details)
+    return _report(pred.m, pred.h, variant, dist, status, prediction=pred, details=details)
 
 
 def _report(m, h, variant, dist, status, **fields) -> VerificationReport:
@@ -288,7 +287,7 @@ def check_case(dist: code_mod.WeightDistribution, m: int, h: int, variant: str,
     code_mod._check_kind(variant)
     source = source or _applicable_source(variant, m // h, m)
     if source is None:
-        return _report(m, h, variant, dist, INAPPLICABLE, source="",
+        return _report(m, h, variant, dist, INAPPLICABLE, prediction=None,
                        note=f"no table covers variant={variant} at m={m} h={h}")
     return verify(predict_distribution(m, h, source), dist, variant)
 
@@ -344,9 +343,8 @@ def format_sweep(reports: list[VerificationReport]) -> str:
     if adj:
         lines.append("# table2-as-printed adjudication (expected mismatches):")
         for r in adj:
-            pred = predict_distribution(r.m, r.h, T2)
-            moment = "pass" if pless_check(pred) else "fail"
-            expected = " ".join(f"{w}:{c}" for w, c in pred.counts.items())
+            moment = "pass" if pless_check(r.prediction) else "fail"
+            expected = " ".join(f"{w}:{c}" for w, c in r.prediction.counts.items())
             lines.append(
                 f"# {r.m} {r.h} {r.variant} {r.status} moment={moment} expected {expected}"
             )

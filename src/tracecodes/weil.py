@@ -31,11 +31,11 @@ namely S_h(a, b) = scale * chi(a'*x0^(q+1) + t*x0), and S_h(a, b) = 0 when
 the equation has no solution.  The character factor is the same at every
 solution, so any x0 serves, and b = 0 needs no case of its own.  _regime
 holds the normalisation, the character and the signed values once; the two
-closed kernels differ only in how they reach x0(b).  weil_sum_closed_many
-reduces each right-hand side.  weil_sum_closed_all_b tabulates the affine
-map b -> x0(b) with gf2m.linear_table, so b -> chi(a'*x0^(q+1) + t*x0) is
-GF(2)-quadratic in b and gf2m.quadratic_table fills it from about
-2^(m/2+1) values.  The regime sets only t and the scale:
+closed kernels differ only in how they reach x0(b).  weil_sum_closed
+reduces its one right-hand side.  weil_sum_closed_all_b tabulates the
+affine map b -> x0(b) with gf2m.linear_table, so b -> chi(a'*x0^(q+1) +
+t*x0) is GF(2)-quadratic in b and gf2m.quadratic_table fills it from
+about 2^(m/2+1) values.  The regime sets only t and the scale:
 
 * m/h odd: d = 1, so j = 0 and a' = 1.  t = 1 and the scale is
   (2 | m/h)^h * 2^((m+h)/2), where (2 | m/h) is the Jacobi symbol
@@ -109,7 +109,7 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
     is none.  reduce is the gf2m.gf2_solver reduction of the left side,
     which depends on a' = g^j alone, so it is eliminated once per field, h
     and j: at most d times per field and h, and once when m/h is odd.
-    character(x0) is Tr(a'*x0^(q+1) + t*x0) at an int64 array of x0.
+    character(x0) is Tr(a'*x0^(q+1) + t*x0) at an int64 x0 or array of x0.
     signed(bits, unsolvable) returns scale * (-1)^bit, and 0 where
     unsolvable; in the permutation branch (unique) every right-hand side is
     solvable, so an unsolvable one there is a RuntimeError.
@@ -132,7 +132,7 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int):
 
     def character(x0):
         logs = (j + ctx.log_table[x0] * (q + 1)) % n  # log(a'*x0^(q+1))
-        bits = np.where(x0, ctx.trace_table[ctx.antilog_table[logs]], 0)
+        bits = ctx.trace_table[ctx.antilog_table[logs]] & (x0 != 0)  # Tr(0) = 0
         return bits ^ ctx.trace_table[x0] if t else bits
 
     def signed(bits, unsolvable):
@@ -153,21 +153,10 @@ def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumVa
     chi(a*x0^(2^h+1)) times eps*2^e (permutation branch) or -eps*2^(e+h)
     (power branch).
     """
-    return WeilSumValue(weil_sum_closed_many(ctx, h, a, [b])[0])
-
-
-def weil_sum_closed_many(ctx: gf2m.FieldCtx, h: int, a: int, bs) -> list[int]:
-    """Closed-form S_h(a, b) for each b in bs, as weil_sum_closed computes it.
-
-    The linear map of the affine equation depends on a' alone, so its one
-    reduction serves every b; each right-hand side is reduced on its own.
-    """
-    h, a, _ = _validate_query(ctx, h, a, 0)
-    bs = [gf2m._check_element(ctx, b, "b") for b in bs]
+    h, a, b = _validate_query(ctx, h, a, b)
     u, t, reduce, character, signed = _regime(ctx, h, a)
-    rhs = [gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, 1 << h) for b in bs]
-    x0 = np.array([reduce(r) for r in rhs], dtype=np.int64)  # a solution if < 2^m
-    return signed(character(x0 & (ctx.q - 1)), x0 >= ctx.q).tolist()
+    x0 = np.int64(reduce(gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, 1 << h)))  # a solution if < 2^m
+    return WeilSumValue(int(signed(character(x0 & (ctx.q - 1)), x0 >= ctx.q)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,24 @@ def irreducible_modulus(draw, max_degree: int) -> int:
                 if gf2m.is_irreducible(p))
 
 
+def expected_source(m: int, h: int, variant: str) -> str | None:
+    """The table whose hypotheses cover variant at (m, h), or None.
+
+    Written from the paper's statements, not from predict, so that the
+    sweep's choice of table is checked against an independent rule.
+    """
+    odd, even = (m // h) % 2 == 1, (m // h) % 2 == 0
+    covered = {
+        ("d0", "T1"): odd,
+        ("d0", "T3"): even and m // h > 2,
+        ("d1", "T2C"): odd,
+        ("d1", "T4"): even and m // h > 2,
+        ("full", "T5"): even and m > 2,
+        ("punctured", "C6"): even and m > 2,
+    }
+    return next((src for (kind, src), holds in covered.items() if kind == variant and holds), None)
+
+
 def distribution(m: int, h: int, kind: str, modulus: int | None = None):
     """The enumerated weight distribution of one code."""
     return code_mod.weight_distribution(code_mod.make_code(gf2m.build_field(m, modulus), h, kind))

@@ -79,7 +79,7 @@ def test_criterion_4_table_sweep(swept):
     seen = {(r.m, r.h, r.variant) for r in main}
     assert len(seen) == expected_rows
     for r in main:
-        want = predict._applicable_source(r.variant, r.m // r.h, r.m)
+        want = cases.expected_source(r.m, r.h, r.variant)
         if want is None:
             assert r.status == predict.INAPPLICABLE, (r.m, r.h, r.variant)
         else:

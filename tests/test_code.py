@@ -406,6 +406,16 @@ def test_linear_code_takes_length_and_rank_from_its_columns():
             assert lc.k == gf2m.gf2_rank(cols, m) == gf2m.gf2_rank(basis, m), (m, r)
 
 
+def test_distinct_nonzero_columns_in_integer_order():
+    rng = np.random.default_rng(7)
+    for m in (3, 8, 12):
+        ctx = gf2m.build_field(m)
+        for size in (1, 5, ctx.q, 4 * ctx.q):
+            cols = rng.integers(0, ctx.q, size=size)
+            want = np.setdiff1d(cols, [0])  # sorted and unique
+            assert np.array_equal(code_mod._distinct_nonzero(ctx, cols), want), (m, size)
+
+
 def _counting_distinct_nonzero(monkeypatch):
     """Wrap code._distinct_nonzero, the short-rank fallback, to count its calls."""
     calls = []

@@ -255,6 +255,27 @@ def test_format_sweep_content():
     assert lines[-1].startswith("# summary cases=11 match=")
 
 
+def test_format_sweep_reads_the_stored_predictions(monkeypatch):
+    # each report keeps the table it was checked against, so printing the
+    # sweep evaluates no table a second time
+    reports = predict.sweep(range(3, 15))
+    for r in reports:
+        if r.status == predict.INAPPLICABLE:
+            assert r.prediction is None and r.source == "", (r.m, r.h, r.variant)
+        else:
+            assert r.source == r.prediction.source, (r.m, r.h, r.variant)
+            assert (r.prediction.m, r.prediction.h) == (r.m, r.h)
+    assert {r.source for r in reports if r.informational} == {predict.T2}
+    with pytest.raises(AttributeError):
+        reports[0].source = predict.T1
+    inner, calls = predict.predict_distribution, []
+    monkeypatch.setattr(predict, "predict_distribution",
+                        lambda *args: calls.append(args) or inner(*args))
+    text = predict.format_sweep(reports)
+    assert calls == []
+    assert "# 5 1 d1 mismatch moment=fail expected 6:7 8:15 10:9" in text.splitlines()
+
+
 def test_sweep_empty_range():
     assert predict.sweep([]) == []
 
@@ -286,7 +307,7 @@ def test_sweep_m15_to_m20():
     assert len(reports) - len(main) == LARGE_SWEEP_ADJUDICATIONS
     assert len({(r.m, r.h, r.variant) for r in main}) == LARGE_SWEEP_ROWS
     for r in main:
-        want = predict._applicable_source(r.variant, r.m // r.h, r.m)
+        want = cases.expected_source(r.m, r.h, r.variant)
         if want is None:
             assert r.status == predict.INAPPLICABLE, (r.m, r.h, r.variant)
         else:

@@ -6,16 +6,20 @@ be on KEEP with the reason it stays.  Every public field of a public class
 there (a name its body binds, or an attribute its __init__ sets on self)
 must be read as an attribute somewhere in src/tracecodes, or be on
 KEEP_FIELDS with the reason it stays.  Literal references that only the
-tests compare against belong in tests/oracles.py.
+tests compare against belong in tests/oracles.py.  Every name the README
+gives in backticks with an underscore, or as a call, must be defined at top
+level in gf2m, code, weil, predict or cli.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tracecodes"
+README = SRC.parent.parent / "README.md"
 MODULES = ("gf2m", "code", "weil", "predict")
 
 KEEP = {
@@ -96,3 +100,31 @@ def test_every_public_field_is_read_or_kept():
     assert not unused, f"fields read nowhere in src/tracecodes: {unused}"
     stale = sorted(KEEP_FIELDS.keys() - unread)
     assert not stale, f"kept fields that src/tracecodes reads or no longer defines: {stale}"
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and variables a module binds at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_readme_names_what_the_package_defines():
+    # a backticked identifier with an underscore, or one written as a call,
+    # optionally behind a module prefix, names something the package defines
+    trees = _trees()
+    defined = {mod: _top_level_names(trees[mod]) for mod in MODULES + ("cli",)}
+    anywhere = set().union(*defined.values())
+    ident = re.compile(r"(?:(%s)\.)?([A-Za-z_]\w*)(\(.*)?" % "|".join(defined))
+    named = [m.groups() for span in re.findall(r"`([^`\n]+)`", README.read_text())
+             if (m := ident.fullmatch(span)) and ("_" in m[2] or m[3])]
+    assert len(named) >= 10  # the README describes the package by these names
+    missing = sorted({f"{mod}.{name}" if mod else name for mod, name, _ in named
+                      if name not in (defined[mod] if mod else anywhere)})
+    assert not missing, f"README names what the package does not define: {missing}"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecodes import code as code_mod
 from tracecodes import gf2m, weil
 
 import cases
@@ -253,7 +254,8 @@ def test_is_power_always_true_in_odd_regime():
 
 def test_one_elimination_per_coset(monkeypatch):
     # the closed route eliminates the left side once per a' = g^j, j < d:
-    # at most d times per field and h, and once when m/h is odd (d = 1)
+    # at most d times per field and h, and once when m/h is odd (d = 1);
+    # the weight formula's two scalar calls add no elimination of their own
     solver = gf2m.gf2_solver
     calls = []
 
@@ -268,6 +270,8 @@ def test_one_elimination_per_coset(monkeypatch):
         for a in range(1, ctx.q):
             weil.weil_sum_closed_all_b(ctx, h, a)
             weil.weil_sum_closed(ctx, h, a, a)
+            code_mod.codeword_weight_formula(ctx, h, 0, a)
+            code_mod.codeword_weight_formula(ctx, h, 1, a)
         d = math.gcd((1 << h) + 1, ctx.n_units)
         assert 1 <= len(calls) <= d, (m, h, d, len(calls))
         if (m // h) % 2:
