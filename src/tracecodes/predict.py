@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import code as code_mod
-from . import gf2m, weil
+from . import gf2m
 
 T1 = "T1"
 T2 = "T2"
@@ -143,7 +143,7 @@ def predict_distribution(m: int, h: int, source: str) -> TheoremPrediction:
     if mh % 2:
         raise Inapplicable(f"{source} needs m/h even; m={m}, h={h} gives m/h={mh}")
     e = m // 2
-    eps = weil.epsilon(m, h)
+    eps = -1 if (e // h) % 2 else 1  # (-1)^(e/h)
     den = (1 << h) + 1
 
     if source in (T3, T4):

@@ -64,6 +64,23 @@ def relative_trace(x: int, h: int, modulus: int, m: int) -> int:
     return t
 
 
+def coulter_constants(m: int, h: int, j: int) -> tuple[int, int]:
+    """(t, scale) of the closed form S_h(g^j, b) = scale * (-1)^Tr(g^j x0^(2^h+1) + t x0),
+    as Coulter (New Zealand J. Math., 1999) states them per regime.
+
+    m/h odd: t = 1 and scale (2 | m/h)^h * 2^((m+h)/2), with (2 | n) the
+    Jacobi symbol, -1 exactly when n = 3 or 5 mod 8.  m/h even, with
+    e = m/2 and eps = (-1)^(e/h): t = 0, and scale eps * 2^e when j != 0
+    (g^j is not a (2^h+1)-th power), -eps * 2^(e+h) when j = 0.
+    """
+    if (m // h) % 2:
+        jacobi = -1 if h % 2 and (m // h) % 8 in (3, 5) else 1
+        return 1, jacobi << ((m + h) // 2)
+    e = m // 2
+    eps = -1 if (e // h) % 2 else 1
+    return 0, (eps << e if j else -eps << (e + h))
+
+
 def wht(v) -> np.ndarray:
     """Walsh-Hadamard transform W[b] = sum_z v[z] * (-1)^popcount(b & z), in int64.
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tracecodes
@@ -134,6 +135,17 @@ def test_weil_disagreement_is_an_error_line(capsys, monkeypatch):
     assert rc == 1
     assert "agree=0" in captured.out
     assert captured.err.startswith("error: ")
+
+
+def test_weil_form_guard_is_an_error_line(capsys, monkeypatch):
+    # a form that is not t*Tr on its radical is refused with an error: line
+    monkeypatch.setattr(weil, "_character", lambda ctx, h, j, t, x: np.ones(np.shape(x), np.uint8))
+    rc = cli.run(["weil", "--m", "4", "--h", "1", "--a", "1", "--b", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "radical" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_export_to_file(tmp_path, capsys):

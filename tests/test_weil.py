@@ -8,7 +8,9 @@ including the batch kernels.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -178,7 +180,8 @@ def test_direct_kernels_call_nothing_of_the_closed_route(monkeypatch):
 
     ctx = gf2m.build_field(8)
     expect = {(h, b): _oracle_sum(8, ctx.modulus, h, 5, b) for h in (1, 2, 4) for b in (0, 9)}
-    monkeypatch.setattr(weil, "_regime", refuse)
+    for name in ("_regime", "_character", "_arf"):
+        monkeypatch.setattr(weil, name, refuse)
     for name in ("gf2_solver", "quadratic_table", "power_map_table"):
         monkeypatch.setattr(gf2m, name, refuse)
     for (h, b), want in expect.items():
@@ -276,6 +279,41 @@ def test_one_elimination_per_coset(monkeypatch):
         assert 1 <= len(calls) <= d, (m, h, d, len(calls))
         if (m // h) % 2:
             assert d == 1 and len(calls) == 1, (m, h)
+
+
+def test_form_constants_match_coulter():
+    # t and the scale, read off the form's radical and Arf invariant, equal
+    # Coulter's per-regime constants at every coset g^j of every divisor
+    checked = 0
+    for m in range(2, 21):
+        ctx = gf2m.build_field(m)
+        for h in cases.divisors(m):
+            for j in range(math.gcd((1 << h) + 1, ctx.n_units)):
+                _, got_j, _, _, t, scale = weil._regime(ctx, h, int(ctx.antilog_table[j]))
+                assert got_j == j and (t, scale) == oracles.coulter_constants(m, h, j), (m, h, j)
+                checked += 1
+    assert checked == 2190
+
+
+def test_fields_are_freed_without_the_cycle_collector():
+    # a field caches plain data and no function that refers back to it, so
+    # it is in no reference cycle: dropping the last reference frees it
+    gc.disable()
+    try:
+        ctx = gf2m.build_field(6)  # m/h = 6 and 2 even, 3 odd
+        for h in cases.divisors(6):
+            for a in (1, 5, 6):
+                weil.weil_sum_closed(ctx, h, a, 3)
+                weil.weil_sum_closed_all_b(ctx, h, a)
+                weil.weil_sum_direct_all_b(ctx, h, a)
+                code_mod.codeword_weight_formula(ctx, h, 1, a)
+            for kind in code_mod.variants(6, h):
+                code_mod.weight_distribution(code_mod.make_code(ctx, h, kind))
+        freed = weakref.ref(ctx)
+        del ctx
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=100, deadline=None)
