@@ -151,35 +151,22 @@ def gf2_rank(vecs, width: int) -> int:
     return len(gf2_basis(vecs, width))
 
 
-def gf2_solver(cols: list[int], m: int):
-    """Eliminate M once; return (reduce, kernel) for M x = rhs over GF(2).
+def gf2_solve(cols: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Eliminate M once; return (reductions, kernel) for M x = rhs over GF(2).
 
-    Bit i of cols[j] is M[i][j]; solutions are ints with bit j = x_j, and
-    kernel is a basis of the solutions of M x = 0.
+    Bit i of cols[j] is M[i][j], i, j < m; solutions are ints with bit j = x_j,
+    and kernel is a basis of the solutions of M x = 0.
 
     Column j is tagged with bit j below it, so every vector of the span
-    reads (M x) << m | x.  reduce(rhs) clears the lead bits of rhs << m,
-    leaving (rhs + M x) << m | x: the top part is zero exactly when rhs is
-    solvable, and the low m bits are then a solution.  reduce is GF(2)-linear
-    in rhs, so a table of it follows from the reductions of a basis.
+    reads (M x) << m | x.  Clearing the lead bits of rhs << m leaves
+    (rhs + M x) << m | x: the top part is zero exactly when rhs is solvable,
+    and the low m bits are then a solution.  The reduction is GF(2)-linear
+    in rhs, the XOR of reductions[i] over its set bits i; reductions[i] is
+    read off the basis, whose vectors are zero at each other's lead bits.
     """
     basis = gf2_basis((int(c) << m) | 1 << j for j, c in enumerate(cols))
-
-    def reduce(rhs: int) -> int:
-        r = rhs << m
-        for lead, v in basis.items():
-            if lead >= m and (r >> lead) & 1:
-                r ^= v
-        return r
-
-    return reduce, [v for lead, v in basis.items() if lead < m]
-
-
-def gf2_solve(cols: list[int], rhs: int, m: int) -> tuple[int, list[int]] | None:
-    """(particular_solution, kernel_basis) of M x = rhs, or None when inconsistent."""
-    reduce, kernel = gf2_solver(cols, m)
-    r = reduce(rhs)
-    return None if r >> m else (r, kernel)
+    reductions = [basis.get(m + i, 0) ^ 1 << (m + i) for i in range(m)]
+    return reductions, [v for lead, v in basis.items() if lead < m]
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +542,14 @@ def wht(v: np.ndarray) -> np.ndarray:
     without FMA included, is a signed sum of distinct entries of v, so its
     magnitude is at most S = sum |v|.  Integers up to 2^24 are exact in
     float32 and below 2^53 in float64, so the steps run in float32 when
-    S <= 2^24 and in float64 when S < 2^53; a larger S is a ValueError.  The
-    package's inputs stay in float32 up to m = 24: +-1 vectors have S = 2^m
-    and the column counts of a code have S = n < 2^m.
+    S <= 2^24 and in float64 when S < 2^53; a larger S is a ValueError, and
+    so is a v that is not of integers or bools.  The package's inputs stay in
+    float32 up to m = 24: +-1 vectors have S = 2^m and the column counts of a
+    code have S = n < 2^m.
     """
     v = np.asarray(v)
+    if v.dtype.kind not in "biu":
+        raise ValueError(f"wht needs integer or bool input, got dtype {v.dtype}")
     if v.size & (v.size - 1):
         raise ValueError(f"wht needs a power-of-two length, got {v.size}")
     # S decides the dtype; a float64 sum of integers is exact up to 2^53 and never

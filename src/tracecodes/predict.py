@@ -26,7 +26,7 @@ exactly; the rank discrepancy is surfaced in the report, never hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -229,7 +229,12 @@ def verify(
     dist: code_mod.WeightDistribution,
     variant: str = "",
 ) -> VerificationReport:
-    """Compare a predicted table with an enumerated distribution, exactly.
+    """Compare a predicted table with an enumerated distribution, exactly."""
+    return _report(pred.m, pred.h, variant, dist, **_compare(pred, dist))
+
+
+def _compare(pred: TheoremPrediction, dist: code_mod.WeightDistribution) -> dict:
+    """The report fields prediction, status and details of pred against dist.
 
     The prediction covers nonzero messages; the implicit zero codeword is
     added to its weight-0 entry before comparison.  Multiplicities are
@@ -247,7 +252,7 @@ def verify(
     keys = sorted(set(expected) | set(dist.counts))
     details = [(w, expected.get(w, 0), dist.counts.get(w, 0)) for w in keys]
     status = MATCH if all(e == a for _, e, a in details) else MISMATCH
-    return _report(pred.m, pred.h, variant, dist, status, prediction=pred, details=details)
+    return dict(prediction=pred, status=status, details=details)
 
 
 def _report(m, h, variant, dist, status, **fields) -> VerificationReport:
@@ -298,11 +303,11 @@ def sweep(
     """Construct, enumerate and verify every variant for every (m, h).
 
     For each m in ms and each proper divisor h, every kind that
-    code.variants lists is built and checked with check_case; the trace-1
-    odd cases additionally carry an informational row adjudicating the table
-    as printed.  Failures are collected in the reports, not raised.  Every
-    m is checked against the degrees gf2m.build_field admits before the
-    first field is built, so an out-of-range m costs no work.
+    code.variants lists is built and checked with check_case; each trace-1
+    odd case adds an informational row, the main row with the comparison
+    against the table as printed.  Failures are collected in the reports,
+    not raised.  Every m is checked against the degrees gf2m.build_field
+    admits before the first field is built, so an out-of-range m costs no work.
     """
     reports: list[VerificationReport] = []
     for m in sorted({gf2m._validate_degree(m) for m in ms}):
@@ -312,9 +317,8 @@ def sweep(
                 dist = code_mod.weight_distribution(code_mod.make_code(ctx, h, variant))
                 reports.append(check_case(dist, m, h, variant))
                 if variant == code_mod.D1 and (m // h) % 2:
-                    adj = check_case(dist, m, h, variant, T2)
-                    adj.informational = True
-                    reports.append(adj)
+                    printed = _compare(predict_distribution(m, h, T2), dist)
+                    reports.append(replace(reports[-1], informational=True, **printed))
     return reports
 
 

@@ -11,7 +11,7 @@ E[i] = (2^h+1)*i mod (2^m-1) from gf2m.exponent_table, and that of b*x is
 Tr(g^(log b + i)); both are gathers from gf2m.trace_of_antilog, so no field
 multiplication runs.  It stays a literal sum: every x contributes its own
 term exactly once, read from the core tables alone, and no closed-route
-function (_regime, _character, _arf, gf2m.gf2_solver, quadratic_table) is
+function (_regime, _character, _arf, gf2m.gf2_solve, quadratic_table) is
 called, so the routes remain independent checks of each other.  The all-b
 direct kernel scatters the same log-order bits into x order through the
 antilog table, then into Walsh bins through gf2m.dual_coordinates.
@@ -35,9 +35,9 @@ gives S_h(a, b) = scale * (-1)^Q'(x0), and S_h(a, b) = 0 when the equation
 has no solution.  Q'(x0) is the same at every solution, so any x0 serves,
 and b = 0 needs no case of its own.  Everything but b' = u*b (u = 1/c)
 depends on (h, j) alone, so _coset computes it once per field, h and j:
-one gf2m.gf2_solver elimination of L, whose kernel is W, then t from Q on
-W and the Arf invariant by a symplectic reduction (_arf).  The two closed
-kernels differ only in how they reach x0(b) from that elimination.
+one gf2m.gf2_solve elimination of L, whose kernel is W and whose reductions
+of the e_i are cols, then t from Q on W and Arf(Q') by a symplectic
+reduction (_arf).  The closed kernels differ only in how they apply cols.
 """
 
 from __future__ import annotations
@@ -119,17 +119,16 @@ def _arf(ctx: gf2m.FieldCtx, h: int, j: int, t: int) -> int:
 
 
 def _coset(ctx: gf2m.FieldCtx, h: int, j: int):
-    """(reduce, cols, t, scale) for a' = g^j: the gf2m.gf2_solver reduction
-    for L, cols[k] = reduce(2^k), t and the scale.  The solver's kernel is a
-    basis of W."""
+    """(cols, t, scale) for a' = g^j: cols[k] is the gf2m.gf2_solve reduction
+    of 2^k for L, then t and the scale.  The solver's kernel is a basis of W."""
     m = ctx.m
-    reduce, radical = gf2m.gf2_solver(gf2m.linearized_columns(ctx, h, int(ctx.antilog_table[j])), m)
+    cols, radical = gf2m.gf2_solve(gf2m.linearized_columns(ctx, h, int(ctx.antilog_table[j])), m)
     radical = np.array(radical, dtype=np.int64)
     t = int(_character(ctx, h, j, 0, radical).any())  # Q is t*Tr on W
     if _character(ctx, h, j, t, radical).any():
         raise RuntimeError(f"Q + t*Tr does not vanish on the radical for m={m} h={h} j={j}")
     scale = (1 - 2 * _arf(ctx, h, j, t)) << ((m + len(radical)) // 2)
-    return reduce, np.array([reduce(1 << k) for k in range(m)], dtype=np.int64), t, scale
+    return cols, t, scale
 
 
 def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple:
@@ -146,8 +145,11 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple:
 def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumValue:
     """Closed-form S_h(a, b), signed in every regime; see the module docstring."""
     h, a, b = _validate_query(ctx, h, a, b)
-    u, j, reduce, _, t, scale = _regime(ctx, h, a)
-    x0 = reduce(gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, 1 << h))  # a solution if < 2^m
+    u, j, cols, t, scale = _regime(ctx, h, a)
+    rhs, x0 = gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, 1 << h), 0
+    for k, col in enumerate(cols):  # x0 is the reduction of rhs, a solution if < 2^m
+        if rhs >> k & 1:
+            x0 ^= col
     return WeilSumValue(0 if x0 >= ctx.q else -scale if _character(ctx, h, j, t, x0) else scale)
 
 
@@ -193,7 +195,7 @@ def weil_sum_closed_all_b(
     benchmark reads the (values, exact) pair.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
-    u, j, _, cols, t, scale = _regime(ctx, h, a)
+    u, j, cols, t, scale = _regime(ctx, h, a)
     images = gf2m.basis_images(ctx, gf2m.pow(ctx, u, 1 << h), h)
     by_bit = images[:, None] >> np.arange(ctx.m) & 1  # the bits of each image
     reduced = gf2m.linear_table(np.bitwise_xor.reduce(by_bit * cols, axis=1)) ^ cols[0] * t

@@ -355,6 +355,25 @@ def _apply(cols, x: int) -> int:
     return r
 
 
+def _solve(cols, rhs: int, m: int) -> tuple[int, list[int]] | None:
+    """(particular_solution, kernel_basis) of M x = rhs from gf2_solve's
+    reductions, or None when rhs is not in the image of M."""
+    reductions, kernel = gf2m.gf2_solve(cols, m)
+    r = _apply(reductions, rhs)  # the XOR of reductions over the set bits of rhs
+    return None if r >> m else (r, kernel)
+
+
+def _literal_reduction(cols, rhs: int, m: int) -> int:
+    """rhs << m with each lead bit >= m of the tagged columns' basis cleared,
+    one basis vector at a time from the top bit down."""
+    basis = gf2m.gf2_basis((c << m) | 1 << j for j, c in enumerate(cols))
+    r = rhs << m
+    for bit in range(2 * m - 1, m - 1, -1):
+        if r >> bit & 1 and bit in basis:
+            r ^= basis[bit]
+    return r
+
+
 @given(st.data())
 def test_gf2_rank_against_span_size(data):
     width = data.draw(st.integers(1, 8))
@@ -376,7 +395,7 @@ def test_gf2_solve_reproduces_solution_sets():
         cols = [rng.randrange(0, 1 << m) for _ in range(m)]
         rhs = rng.randrange(0, 1 << m)
         brute = {x for x in range(1 << m) if _apply(cols, x) == rhs}
-        sol = gf2m.gf2_solve(cols, rhs, m)
+        sol = _solve(cols, rhs, m)
         if sol is None:
             assert brute == set()
             continue
@@ -390,27 +409,33 @@ def test_gf2_solve_reproduces_solution_sets():
     st.integers(1, 6).flatmap(lambda m: st.tuples(
         st.just(m),
         st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m),
-        st.integers(0, (1 << m) - 1),
+        st.booleans(),
         st.integers(0, (1 << m) - 1),
     ))
 )
 def test_gf2_solver_reduction_is_linear_and_decides_solvability(case):
-    """reduce(rhs) = (rhs + M x) << m | x is GF(2)-linear in rhs, inconsistent
-    right-hand sides included; its top part is zero exactly when M x = rhs
-    has a solution, and its low bits then solve it.  Singular M (repeated or
-    zero columns) is drawn as often as it comes."""
-    m, cols, x, y = case
-    reduce, kernel = gf2m.gf2_solver(cols, m)
+    """The XOR of gf2_solve's reductions over the set bits of rhs is the
+    literal reduction (rhs + M x) << m | x of every rhs, inconsistent ones
+    included; its top part is zero exactly when M x = rhs has a solution,
+    and its low bits then solve it.  Half the draws make M singular by
+    setting its last column to a combination of the others."""
+    m, cols, singular, combination = case
+    if singular:
+        cols[-1] = _apply(cols[:-1], combination)
+    reductions, kernel = gf2m.gf2_solve(cols, m)
+    assert type(reductions) is list and all(type(r) is int for r in reductions + kernel)
     images = {_apply(cols, v) for v in range(1 << m)}
-    assert reduce(x ^ y) == reduce(x) ^ reduce(y)
-    assert reduce(0) == 0
-    for rhs in (x, y, x ^ y):
-        r = reduce(rhs)
+    for rhs in range(1 << m):
+        r = _apply(reductions, rhs)
+        assert r == _literal_reduction(cols, rhs, m), (rhs, r)
+        assert r >> m == rhs ^ _apply(cols, r & ((1 << m) - 1))  # reads (rhs + M x) << m | x
         assert (r >> m == 0) == (rhs in images)
         if r >> m == 0:
             assert _apply(cols, r) == rhs
     assert all(_apply(cols, v) == 0 for v in kernel)
     assert 1 << len(kernel) == sum(_apply(cols, v) == 0 for v in range(1 << m))
+    if singular:
+        assert kernel and len(images) < 1 << m
 
 
 def _solutions(sol) -> set[int]:
@@ -421,7 +446,7 @@ def _solutions(sol) -> set[int]:
 
 
 def test_solve_affine_linearized_exhaustive():
-    """gf2_solver on the columns of a^(2^h) x^(2^(2h)) + a x gives the
+    """gf2_solve on the columns of a^(2^h) x^(2^(2h)) + a x gives the
     brute-force solution sets, and kernel sizes follow the two regimes: 2^h
     roots when m/h is odd, and for even m/h either 2^(2h) roots or only x=0
     depending on whether a is a (2^h+1)-th power."""
@@ -439,7 +464,7 @@ def test_solve_affine_linearized_exhaustive():
                     return gf2m.mul(ctx, a2h, gf2m.pow(ctx, x, texp)) ^ gf2m.mul(ctx, a, x)
 
                 cols = gf2m.linearized_columns(ctx, h, a)
-                roots = _solutions(gf2m.gf2_solve(cols, 0, m))
+                roots = _solutions(_solve(cols, 0, m))
                 assert roots == {x for x in range(ctx.q) if apply(x) == 0}
                 if (m // h) % 2:
                     assert len(roots) == 1 << h
@@ -448,7 +473,7 @@ def test_solve_affine_linearized_exhaustive():
                 else:
                     assert roots == {0}
                 rhs = (a * 7 + h) % ctx.q  # arbitrary deterministic right side
-                sols = _solutions(gf2m.gf2_solve(cols, rhs, m))
+                sols = _solutions(_solve(cols, rhs, m))
                 assert sols == {x for x in range(ctx.q) if apply(x) == rhs}
 
 
@@ -614,6 +639,12 @@ def test_wht_against_literal_transform():
         assert np.array_equal(oracles.wht(counts), _literal_wht(counts))
     with pytest.raises(ValueError, match="power-of-two"):
         gf2m.wht(np.ones(6, dtype=np.int64))
+    # the transform of [0.5, 0.25] is [0.75, 0.25], which int64 cannot hold
+    for v in (np.array([0.5, 0.25]), np.ones(4, dtype=np.float32), np.ones(2, dtype=complex)):
+        with pytest.raises(ValueError, match="integer or bool"):
+            gf2m.wht(v)
+    flags = rng.integers(0, 2, size=64).astype(bool)
+    assert np.array_equal(gf2m.wht(flags), _literal_wht(flags.astype(np.int64)))
 
 
 def test_wht_against_the_butterfly_m0_to_m20():

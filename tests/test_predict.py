@@ -276,6 +276,27 @@ def test_format_sweep_reads_the_stored_predictions(monkeypatch):
     assert "# 5 1 d1 mismatch moment=fail expected 6:7 8:15 10:9" in text.splitlines()
 
 
+def test_adjudication_rows_reuse_their_main_row(monkeypatch):
+    # an adjudication row is its main row with the as-printed comparison, so
+    # the power moments and the secret-sharing ratio run once per code; the
+    # row equals what the single-code route reports against T2
+    calls = []
+    for name in ("pless_check", "secret_sharing_ratio"):
+        inner = getattr(predict, name)
+        monkeypatch.setattr(predict, name, lambda dist, f=inner: calls.append(f.__name__) or f(dist))
+    reports = predict.sweep(range(3, 15))
+    main = [r for r in reports if not r.informational]
+    adj = [r for r in reports if r.informational]
+    assert len(adj) == 11
+    assert calls.count("secret_sharing_ratio") == len(main)
+    assert calls.count("pless_check") == sum(r.k == r.m for r in main)
+    monkeypatch.undo()
+    for r in adj:
+        dist = code_mod.weight_distribution(code_mod.make_code(gf2m.build_field(r.m), r.h, r.variant))
+        assert r == dataclasses.replace(
+            predict.check_case(dist, r.m, r.h, r.variant, predict.T2), informational=True)
+
+
 def test_sweep_empty_range():
     assert predict.sweep([]) == []
 

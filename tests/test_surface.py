@@ -8,22 +8,25 @@ must be read as an attribute somewhere in src/tracecodes, or be on
 KEEP_FIELDS with the reason it stays.  Literal references that only the
 tests compare against belong in tests/oracles.py.  Every name the README
 gives in backticks with an underscore, or as a call, must be defined at top
-level in gf2m, code, weil, predict or cli.
+level in gf2m, code, weil, predict or cli.  Every function the benchmark's
+tracing wraps by name must be a callable of the package.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tracecodes"
 README = SRC.parent.parent / "README.md"
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 MODULES = ("gf2m", "code", "weil", "predict")
 
 KEEP = {
-    "gf2_solve": "the benchmark's tracing wraps it",
     "weil_sum_direct_all_b": "a benchmark operation",
     "weil_sum_closed_all_b": "a benchmark operation",
     "codeword_weight_formula": "a benchmark operation",
@@ -128,3 +131,20 @@ def test_readme_names_what_the_package_defines():
     missing = sorted({f"{mod}.{name}" if mod else name for mod, name, _ in named
                       if name not in (defined[mod] if mod else anywhere)})
     assert not missing, f"README names what the package does not define: {missing}"
+
+
+def test_every_traced_name_is_a_package_callable(monkeypatch):
+    # Tracer.install wraps each name of LAYERS, so one the package no longer
+    # defines would fail every traced benchmark run.  The file is loaded by
+    # path, so no import of the benchmark package is assumed; its dataclasses
+    # look their module up in sys.modules while the file runs.
+    spec = importlib.util.spec_from_file_location("_tracing_under_test", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    missing = sorted(
+        f"{mod}.{name}" for mod, names in tracing.LAYERS.items() for name in names
+        if not callable(getattr(importlib.import_module(f"tracecodes.{mod}"), name, None))
+    )
+    assert not missing, f"the benchmark traces what the package does not define: {missing}"

@@ -182,7 +182,7 @@ def test_direct_kernels_call_nothing_of_the_closed_route(monkeypatch):
     expect = {(h, b): _oracle_sum(8, ctx.modulus, h, 5, b) for h in (1, 2, 4) for b in (0, 9)}
     for name in ("_regime", "_character", "_arf"):
         monkeypatch.setattr(weil, name, refuse)
-    for name in ("gf2_solver", "quadratic_table", "power_map_table"):
+    for name in ("gf2_solve", "quadratic_table", "power_map_table"):
         monkeypatch.setattr(gf2m, name, refuse)
     for (h, b), want in expect.items():
         assert weil.weil_sum_direct(ctx, h, 5, b) == want
@@ -259,14 +259,14 @@ def test_one_elimination_per_coset(monkeypatch):
     # the closed route eliminates the left side once per a' = g^j, j < d:
     # at most d times per field and h, and once when m/h is odd (d = 1);
     # the weight formula's two scalar calls add no elimination of their own
-    solver = gf2m.gf2_solver
+    solver = gf2m.gf2_solve
     calls = []
 
     def counting(cols, m):
         calls.append(m)
         return solver(cols, m)
 
-    monkeypatch.setattr(gf2m, "gf2_solver", counting)
+    monkeypatch.setattr(gf2m, "gf2_solve", counting)
     for m, h in ((8, 2), (8, 4), (12, 6), (9, 3)):
         ctx = gf2m.build_field(m)
         calls.clear()
@@ -289,7 +289,7 @@ def test_form_constants_match_coulter():
         ctx = gf2m.build_field(m)
         for h in cases.divisors(m):
             for j in range(math.gcd((1 << h) + 1, ctx.n_units)):
-                _, got_j, _, _, t, scale = weil._regime(ctx, h, int(ctx.antilog_table[j]))
+                _, got_j, _, t, scale = weil._regime(ctx, h, int(ctx.antilog_table[j]))
                 assert got_j == j and (t, scale) == oracles.coulter_constants(m, h, j), (m, h, j)
                 checked += 1
     assert checked == 2190
@@ -309,6 +309,9 @@ def test_fields_are_freed_without_the_cycle_collector():
                 code_mod.codeword_weight_formula(ctx, h, 1, a)
             for kind in code_mod.variants(6, h):
                 code_mod.weight_distribution(code_mod.make_code(ctx, h, kind))
+        cosets = [v for key, v in ctx._cache.items() if key[0] == "coset"]
+        assert cosets and all(type(cols) is list for cols, _, _ in cosets)
+        assert all(type(x) is int for cols, t, scale in cosets for x in cols + [t, scale])
         freed = weakref.ref(ctx)
         del ctx
         assert freed() is None
