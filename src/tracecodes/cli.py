@@ -140,7 +140,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.m_min < 2 or args.m_max < args.m_min:
+    if args.m_max < args.m_min:  # predict.sweep refuses every m out of range
         raise ValueError(f"bad range: m-min={args.m_min} m-max={args.m_max}")
     reports = predict.sweep(range(args.m_min, args.m_max + 1))
     sys.stdout.write(predict.format_sweep(reports))

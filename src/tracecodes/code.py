@@ -65,7 +65,6 @@ class DefiningSet:
     refused with ValueError rather than truncated, reshaped or overflowed.
     """
 
-    kind: str
     elements: np.ndarray
 
     def __post_init__(self) -> None:
@@ -93,23 +92,26 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
 
     d0 / d1: nonzero elements of absolute trace 0 resp. 1 (sizes
     2^(m-1) - 1 and 2^(m-1)).  full: all of GF(2^m)^*.  punctured: the image
-    {x^(2^h+1) : x != 0} as a set, which needs m/h even; when m/h is odd the
-    power map is a bijection (gcd(2^h+1, 2^m - 1) = 1) and there is nothing
-    to puncture.  On the cyclic group <g> of order 2^m - 1 the image of
-    x -> x^t is the subgroup <g^d>, d = gcd(t, 2^m - 1), so the punctured
-    set is every d-th antilog entry, sorted, with no power table.
+    {x^(2^h+1) : x != 0} as a set, which needs m > 2 and m/h even (the one
+    check that it exists); when m/h is odd the power map is a bijection
+    (gcd(2^h+1, 2^m - 1) = 1) and there is nothing to puncture.  On the
+    cyclic group <g> of order 2^m - 1 the image of x -> x^t is the subgroup
+    <g^d>, d = gcd(t, 2^m - 1), so the punctured set is every d-th antilog
+    entry, sorted, with no power table.
 
     d0, d1 and full depend on the field alone, so each is built once per
     field and shared by every later call, with read-only elements.
     """
     if kind == PUNCTURED_IMAGE:
         h = gf2m._validate_subfield_degree(ctx.m, h)
+        if ctx.m <= 2:
+            raise ValueError("punctured construction needs m > 2")
         if (ctx.m // h) % 2:
             raise ValueError(
                 f"punctured image needs m/h even; for m={ctx.m}, h={h} the map "
                 f"x -> x^(2^{h}+1) is a bijection (gcd(2^{h}+1, 2^{ctx.m}-1) = 1)"
             )
-        return DefiningSet(kind, np.sort(ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)]))
+        return DefiningSet(np.sort(ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)]))
     _check_kind(kind)
 
     def build():
@@ -119,7 +121,7 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
             els = np.flatnonzero(ctx.trace_table == 1)
         else:
             els = np.arange(1, ctx.q, dtype=np.int64)
-        ds = DefiningSet(kind, els)
+        ds = DefiningSet(els)
         ds.elements.setflags(write=False)  # shared by every caller through the cache
         return ds
 
@@ -153,15 +155,14 @@ def _rank(ctx: gf2m.FieldCtx, cols: np.ndarray) -> int:
 
 @dataclass(eq=False)
 class LinearCode:
-    """A constructed code: its field, h, defining set and columns phis
-    (int64, in defining-set order).  The length n = len(phis) and the
-    dimension k, the GF(2) rank of the columns (_rank), are derived from
-    the columns when the code is built.
+    """A constructed code: its field, h and columns phis (int64, in
+    defining-set order).  The length n = len(phis) and the dimension k, the
+    GF(2) rank of the columns (_rank), are derived from the columns when the
+    code is built.
     """
 
     ctx: gf2m.FieldCtx
     h: int
-    defset: DefiningSet
     phis: np.ndarray
     k: int = field(init=False)
 
@@ -207,16 +208,13 @@ def build_code(ctx: gf2m.FieldCtx, h: int, defset: DefiningSet) -> LinearCode:
         raise ValueError(
             f"defining-set element {int(bad[0])} is not a nonzero element of GF(2^{ctx.m})"
         )
-    return LinearCode(ctx, h, defset, gf2m.power_map_table(ctx, h)[els].astype(np.int64))
+    return LinearCode(ctx, h, gf2m.power_map_table(ctx, h)[els].astype(np.int64))
 
 
 def punctured_code(ctx: gf2m.FieldCtx, h: int) -> LinearCode:
     """Code of length (2^m - 1)/(2^h + 1) on the power-map image, identity columns."""
     h = gf2m._validate_subfield_degree(ctx.m, h)
-    if ctx.m <= 2:
-        raise ValueError("punctured construction needs m > 2")
-    ds = defining_set(ctx, PUNCTURED_IMAGE, h)
-    return LinearCode(ctx, h, ds, ds.elements)
+    return LinearCode(ctx, h, defining_set(ctx, PUNCTURED_IMAGE, h).elements)
 
 
 def variants(m: int, h: int) -> tuple[str, ...]:

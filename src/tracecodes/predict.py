@@ -1,7 +1,9 @@
 """Closed-form weight tables, verification against enumeration, power
 moments, and the secret-sharing suitability test.
 
-Prediction sources, keyed by the parameter regime they cover:
+Prediction sources, keyed by the parameter regime they cover; only
+predict_distribution tests it, and check_case takes the first of a kind's
+_TABLES that predict_distribution does not refuse with Inapplicable:
 
     T1   m/h odd,  trace-0 set,   length 2^(m-1) - 1, three weights
     T2   m/h odd,  trace-1 set,   length 2^(m-1), as printed upstream
@@ -41,6 +43,9 @@ T4 = "T4"
 T5 = "T5"
 C6 = "C6"
 SOURCES = (T1, T2, T2C, T3, T4, T5, C6)
+
+_TABLES = {code_mod.D0: (T1, T3), code_mod.D1: (T2C, T4),  # each kind's, in the order tried
+           code_mod.FULL_STAR: (T5,), code_mod.PUNCTURED_IMAGE: (C6,)}
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -284,17 +289,21 @@ def _report(m, h, variant, dist, status, **fields) -> VerificationReport:
 
 def check_case(dist: code_mod.WeightDistribution, m: int, h: int, variant: str,
                source: str | None = None) -> VerificationReport:
-    """Verify one enumerated code against its table: source when given,
-    otherwise the one that applies to the variant at (m, h).  When none
-    applies the report is inapplicable and its note says so.  A variant
-    that is not one of code.KINDS is a ValueError."""
+    """Verify one enumerated code against its table: source when given (an
+    Inapplicable one raises), otherwise the first of the variant's _TABLES
+    that predict_distribution does not refuse.  When none applies the report
+    is inapplicable and its note says so.  A variant that is not one of
+    code.KINDS is a ValueError."""
     m, h = _validate_params(m, h)
     code_mod._check_kind(variant)
-    source = source or _applicable_source(variant, m // h, m)
-    if source is None:
-        return _report(m, h, variant, dist, INAPPLICABLE, prediction=None,
-                       note=f"no table covers variant={variant} at m={m} h={h}")
-    return verify(predict_distribution(m, h, source), dist, variant)
+    for src in [source] if source else _TABLES[variant]:
+        try:
+            return verify(predict_distribution(m, h, src), dist, variant)
+        except Inapplicable:
+            if source:
+                raise
+    return _report(m, h, variant, dist, INAPPLICABLE, prediction=None,
+                   note=f"no table covers variant={variant} at m={m} h={h}")
 
 
 def sweep(
@@ -303,9 +312,9 @@ def sweep(
     """Construct, enumerate and verify every variant for every (m, h).
 
     For each m in ms and each proper divisor h, every kind that
-    code.variants lists is built and checked with check_case; each trace-1
-    odd case adds an informational row, the main row with the comparison
-    against the table as printed.  Failures are collected in the reports,
+    code.variants lists is built and checked with check_case; each row
+    checked against T2C adds an informational row, the main row compared
+    with the table as printed.  Failures are collected in the reports,
     not raised.  Every m is checked against the degrees gf2m.build_field
     admits before the first field is built, so an out-of-range m costs no work.
     """
@@ -316,20 +325,10 @@ def sweep(
             for variant in code_mod.variants(m, h):
                 dist = code_mod.weight_distribution(code_mod.make_code(ctx, h, variant))
                 reports.append(check_case(dist, m, h, variant))
-                if variant == code_mod.D1 and (m // h) % 2:
+                if reports[-1].source == T2C:
                     printed = _compare(predict_distribution(m, h, T2), dist)
                     reports.append(replace(reports[-1], informational=True, **printed))
     return reports
-
-
-def _applicable_source(variant: str, mh: int, m: int) -> str | None:
-    if variant == code_mod.D0:
-        return T1 if mh % 2 else (T3 if mh > 2 else None)
-    if variant == code_mod.D1:
-        return T2C if mh % 2 else (T4 if mh > 2 else None)
-    if variant == code_mod.FULL_STAR:
-        return T5 if mh % 2 == 0 and m > 2 else None
-    return C6 if mh % 2 == 0 and m > 2 else None
 
 
 def format_sweep(reports: list[VerificationReport]) -> str:
@@ -353,10 +352,7 @@ def format_sweep(reports: list[VerificationReport]) -> str:
                 f"# {r.m} {r.h} {r.variant} {r.status} moment={moment} expected {expected}"
             )
         failures = sum(1 for r in adj if r.status == MISMATCH)
-        corrected = [
-            r for r in reports
-            if not r.informational and r.source == T2C and r.variant == code_mod.D1
-        ]
+        corrected = [r for r in reports if r.source == T2C]
         matched = sum(1 for r in corrected if r.status == MATCH)
         lines.append(
             f"# table2-as-printed mismatched enumeration in {failures}/{len(adj)} odd "

@@ -146,7 +146,9 @@ def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumVa
     """Closed-form S_h(a, b), signed in every regime; see the module docstring."""
     h, a, b = _validate_query(ctx, h, a, b)
     u, j, cols, t, scale = _regime(ctx, h, a)
-    rhs, x0 = gf2m.pow(ctx, gf2m.mul(ctx, u, b) ^ t, 1 << h), 0
+    n, log, x0 = ctx.n_units, ctx.log_table, 0  # rhs = (u*b + t)^q by the log tables
+    v = int(ctx.antilog_table[(int(log[u]) + int(log[b])) % n]) ^ t if b else t
+    rhs = int(ctx.antilog_table[(int(log[v]) << h) % n]) if v else 0
     for k, col in enumerate(cols):  # x0 is the reduction of rhs, a solution if < 2^m
         if rhs >> k & 1:
             x0 ^= col

@@ -54,7 +54,7 @@ def distribution(m: int, h: int, kind: str, modulus: int | None = None):
 
 
 def every_code(ctx):
-    """(h, code) for every proper divisor h and every variant defined there."""
+    """(h, kind, code) for every proper divisor h and every variant defined there."""
     for h in divisors(ctx.m):
         for kind in code_mod.variants(ctx.m, h):
-            yield h, code_mod.make_code(ctx, h, kind)
+            yield h, kind, code_mod.make_code(ctx, h, kind)

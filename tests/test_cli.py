@@ -234,13 +234,18 @@ def test_sweep_rejects_bad_range(capsys):
 
 
 def test_sweep_refuses_m_past_the_field_range_before_any_work(capsys, monkeypatch):
-    with pytest.raises(ValueError) as refused:
-        gf2m.build_field(21)
+    # above and below the range, with the field module's own message
+    refused = {}
+    for bad in (21, 1):
+        with pytest.raises(ValueError) as err:
+            gf2m.build_field(bad)
+        refused[bad] = str(err.value)
     calls = []
     monkeypatch.setattr(gf2m, "build_field", lambda *args: calls.append(args))
-    rc = cli.run(["sweep", "--m-min", "3", "--m-max", "21"])
-    assert rc == 2 and calls == []
-    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    for lo, hi, bad in ((3, 21, 21), (1, 4, 1)):
+        rc = cli.run(["sweep", "--m-min", str(lo), "--m-max", str(hi)])
+        assert rc == 2 and calls == []
+        assert capsys.readouterr().err == f"error: {refused[bad]}\n"
 
 
 def test_module_entrypoint_subprocess():

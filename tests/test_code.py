@@ -78,20 +78,28 @@ def test_punctured_image_rejects_odd_ratio():
     ctx = gf2m.build_field(6)
     with pytest.raises(ValueError, match="bijection"):
         code_mod.defining_set(ctx, code_mod.PUNCTURED_IMAGE, 2)
-    with pytest.raises(ValueError, match="m > 2"):
-        code_mod.punctured_code(gf2m.build_field(2), 1)
+    # m = 2 is refused by the defining set itself, as by every constructor
+    ctx2 = gf2m.build_field(2)
+    for build in (lambda: code_mod.defining_set(ctx2, code_mod.PUNCTURED_IMAGE, 1),
+                  lambda: code_mod.punctured_code(ctx2, 1),
+                  lambda: code_mod.make_code(ctx2, 1, code_mod.PUNCTURED_IMAGE)):
+        with pytest.raises(ValueError, match="m > 2"):
+            build()
 
 
 def test_variants_list_exactly_the_codes_make_code_builds():
     # the catalogue against the constructors: every kind builds where it is
-    # listed and is refused with ValueError where it is not
+    # listed, at that kind's length, and is refused with ValueError where it is not
     for m in range(2, 13):
         ctx = gf2m.build_field(m)
         for h in cases.divisors(m):
             listed = code_mod.variants(m, h)
+            length = {code_mod.D0: (1 << (m - 1)) - 1, code_mod.D1: 1 << (m - 1),
+                      code_mod.FULL_STAR: (1 << m) - 1,
+                      code_mod.PUNCTURED_IMAGE: ((1 << m) - 1) // ((1 << h) + 1)}
             for kind in code_mod.KINDS:
                 if kind in listed:
-                    assert code_mod.make_code(ctx, h, kind).defset.kind == kind, (m, h, kind)
+                    assert code_mod.make_code(ctx, h, kind).n == length[kind], (m, h, kind)
                 else:
                     with pytest.raises(ValueError):
                         code_mod.make_code(ctx, h, kind)
@@ -102,7 +110,7 @@ def test_unknown_kind_and_empty_set():
     with pytest.raises(ValueError, match="unknown"):
         code_mod.defining_set(ctx, "d2")
     with pytest.raises(ValueError, match="empty"):
-        code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, ()))
+        code_mod.build_code(ctx, 1, code_mod.DefiningSet(()))
 
 
 def test_build_code_rejects_elements_outside_the_units():
@@ -111,48 +119,48 @@ def test_build_code_rejects_elements_outside_the_units():
     ctx = gf2m.build_field(5)
     for bad in (0, -1, ctx.q, 40):
         with pytest.raises(ValueError, match=f"element {bad} is not a nonzero element"):
-            code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, (3, bad, 5)))
+            code_mod.build_code(ctx, 1, code_mod.DefiningSet((3, bad, 5)))
     # of several, the first in defining-set order is named
     with pytest.raises(ValueError, match=r"element 40 is not a nonzero element of GF\(2\^5\)"):
-        code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, (3, 40, 0, 5)))
+        code_mod.build_code(ctx, 1, code_mod.DefiningSet((3, 40, 0, 5)))
 
 
 def test_defining_set_refuses_floats():
     # a float array used to be truncated to [2, 3, 5] and built into a code
     with pytest.raises(ValueError, match="not an integer"):
-        code_mod.DefiningSet(code_mod.D0, [2.7, 3.2, 5.9])
+        code_mod.DefiningSet([2.7, 3.2, 5.9])
     with pytest.raises(ValueError, match="not an integer"):
-        code_mod.DefiningSet(code_mod.D0, np.array([2.0, 3.0]))
+        code_mod.DefiningSet(np.array([2.0, 3.0]))
     with pytest.raises(ValueError, match="not an integer"):
-        code_mod.DefiningSet(code_mod.D0, [3, None])
+        code_mod.DefiningSet([3, None])
 
 
 def test_defining_set_refuses_other_shapes():
     # a 2 x 2 array used to be accepted, and build_code reported n = 2 for four columns
     with pytest.raises(ValueError, match="1-D"):
-        code_mod.DefiningSet(code_mod.D0, [[2, 3], [5, 7]])
+        code_mod.DefiningSet([[2, 3], [5, 7]])
     with pytest.raises(ValueError, match="1-D"):
-        code_mod.DefiningSet(code_mod.D0, np.int64(3))
+        code_mod.DefiningSet(np.int64(3))
 
 
 def test_defining_set_refuses_values_past_int64():
     # 2^63 used to raise OverflowError from the int64 cast
     for big in ([3, 1 << 63], [1 << 64], [-(1 << 63) - 1], np.array([1 << 63], dtype=np.uint64)):
         with pytest.raises(ValueError, match="fit in int64"):
-            code_mod.DefiningSet(code_mod.D0, big)
+            code_mod.DefiningSet(big)
 
 
 def test_defining_set_accepts_ints_and_integer_arrays():
     ctx = gf2m.build_field(5)
-    ref = code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, [3, 5, 6]))
+    ref = code_mod.build_code(ctx, 1, code_mod.DefiningSet([3, 5, 6]))
     for els in ((3, 5, 6), [np.int32(3), 5, np.uint8(6)], np.array([3, 5, 6], dtype=np.uint16),
                 np.array([3, 5, 6], dtype=np.uint64), np.array([3, 5, 6], dtype=object)):
-        ds = code_mod.DefiningSet(code_mod.D0, els)
+        ds = code_mod.DefiningSet(els)
         assert ds.elements.dtype == np.int64 and ds.elements.tolist() == [3, 5, 6]
         lc = code_mod.build_code(ctx, 1, ds)
         assert (lc.n, lc.k) == (ref.n, ref.k) and np.array_equal(lc.phis, ref.phis)
-    assert code_mod.DefiningSet(code_mod.D0, [(1 << 63) - 1]).elements.tolist() == [(1 << 63) - 1]
-    assert code_mod.DefiningSet(code_mod.D0, ()).elements.dtype == np.int64
+    assert code_mod.DefiningSet([(1 << 63) - 1]).elements.tolist() == [(1 << 63) - 1]
+    assert code_mod.DefiningSet(()).elements.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +256,7 @@ def test_punctured_weights_scale_per_message():
 
 def test_single_element_defining_set():
     ctx = gf2m.build_field(5)
-    lc = code_mod.build_code(ctx, 1, code_mod.DefiningSet(code_mod.D0, (3,)))
+    lc = code_mod.build_code(ctx, 1, code_mod.DefiningSet((3,)))
     assert (lc.n, lc.k) == (1, 1)
     dist = code_mod.weight_distribution(lc)
     assert dist.counts == {0: 16, 1: 16}
@@ -329,12 +337,12 @@ def test_basis_independence_of_distributions():
 def test_build_code_columns_are_literal_powers():
     for m in range(2, 11):
         ctx = gf2m.build_field(m)
-        for h, lc in cases.every_code(ctx):
-            if lc.defset.kind == code_mod.PUNCTURED_IMAGE:
+        for h, kind, lc in cases.every_code(ctx):
+            if kind == code_mod.PUNCTURED_IMAGE:
                 continue
             t = (1 << h) + 1
-            literal = [gf2m.pow(ctx, int(d), t) for d in lc.defset.elements]
-            assert lc.phis.dtype == np.int64 and lc.phis.tolist() == literal, (m, h, lc.defset.kind)
+            literal = [gf2m.pow(ctx, int(d), t) for d in code_mod.defining_set(ctx, kind).elements]
+            assert lc.phis.dtype == np.int64 and lc.phis.tolist() == literal, (m, h, kind)
 
 
 def test_walsh_route_equals_literal_column_count():
@@ -344,12 +352,12 @@ def test_walsh_route_equals_literal_column_count():
         for modulus in (None, cases.largest_irreducible(m)):
             ctx = gf2m.build_field(m, modulus)
             xs = np.arange(ctx.q, dtype=np.int64)
-            for h, lc in cases.every_code(ctx):
+            for h, kind, lc in cases.every_code(ctx):
                 literal = sum(
                     ctx.trace_table[oracles.mul_vec(ctx, p, xs)].astype(np.int64)
                     for p in lc.phis
                 )
-                case = (m, ctx.modulus, h, lc.defset.kind)
+                case = (m, ctx.modulus, h, kind)
                 assert np.array_equal(code_mod._weights_by_message(lc), literal), case
                 # weight_distribution transforms in plain coordinates; its
                 # counts are still the histogram of the message weights
@@ -360,18 +368,19 @@ def test_walsh_route_equals_literal_column_count():
 
 
 def _assert_rank_oracle(ctx):
-    for h, lc in cases.every_code(ctx):
-        case = (ctx.m, ctx.modulus, h, lc.defset.kind)
-        assert lc.h == h and lc.n == len(lc.defset) == len(lc.phis), case
+    for h, kind, lc in cases.every_code(ctx):
+        case = (ctx.m, ctx.modulus, h, kind)
+        els = code_mod.defining_set(ctx, kind, h).elements
+        assert lc.h == h and lc.n == len(els) == len(lc.phis), case
         # the rank of every column in its given order, duplicates and all
         assert lc.k == gf2m.gf2_rank(lc.phis.tolist(), ctx.m), case
-        if lc.defset.kind == code_mod.PUNCTURED_IMAGE:
+        if kind == code_mod.PUNCTURED_IMAGE:
+            # the defining set, and the identity columns on it, are the image
             image = np.unique(oracles.power_table(ctx, (1 << h) + 1)[1:])
-            assert lc.defset.elements.dtype == image.dtype, case
-            assert np.array_equal(lc.defset.elements, image), case
+            assert els.dtype == image.dtype, case
+            assert np.array_equal(els, image) and np.array_equal(lc.phis, image), case
         else:
-            els = lc.defset.elements
-            repeated = code_mod.DefiningSet(lc.defset.kind, np.concatenate([els[::-1], els[::3]]))
+            repeated = code_mod.DefiningSet(np.concatenate([els[::-1], els[::3]]))
             assert code_mod.build_code(ctx, h, repeated).k == lc.k, case
 
 
@@ -393,7 +402,6 @@ def test_linear_code_takes_length_and_rank_from_its_columns():
     rng = random.Random(18)
     for m in (3, 6, 10):
         ctx = gf2m.build_field(m)
-        ds = code_mod.defining_set(ctx, code_mod.FULL_STAR)
         for r in range(m + 1):
             basis = [rng.randrange(1, ctx.q) for _ in range(r)]
             span = [0]
@@ -401,7 +409,7 @@ def test_linear_code_takes_length_and_rank_from_its_columns():
                 span = sorted(set(span) | {x ^ v for x in span})
             cols = basis + rng.choices(span, k=rng.randrange(1, 4 * len(span)))
             rng.shuffle(cols)
-            lc = code_mod.LinearCode(ctx, 1, ds, np.array(cols, dtype=np.int64))
+            lc = code_mod.LinearCode(ctx, 1, np.array(cols, dtype=np.int64))
             assert lc.n == len(cols), (m, r)
             assert lc.k == gf2m.gf2_rank(cols, m) == gf2m.gf2_rank(basis, m), (m, r)
 
@@ -446,7 +454,7 @@ def test_rank_fallback_when_the_sample_falls_short(monkeypatch):
             if len(tail) == m:
                 break
         els = np.array([1] * 3000 + tail, dtype=np.int64)
-        lc = code_mod.build_code(ctx, h, code_mod.DefiningSet(code_mod.D0, els))
+        lc = code_mod.build_code(ctx, h, code_mod.DefiningSet(els))
         stride = max(1, lc.n // (8 * m))
         assert gf2m.gf2_rank(lc.phis[::stride].tolist(), m) < m, (m, h)
         assert lc.k == gf2m.gf2_rank(lc.phis.tolist(), m) == m, (m, h)
@@ -474,9 +482,10 @@ def test_punctured_image_oracle_m14_to_m20():
         ctx = gf2m.build_field(m)
         for h in [h for h in cases.divisors(m) if (m // h) % 2 == 0]:
             pc = code_mod.punctured_code(ctx, h)
+            els = code_mod.defining_set(ctx, code_mod.PUNCTURED_IMAGE, h).elements
             image = np.unique(oracles.power_table(ctx, (1 << h) + 1)[1:])
-            assert pc.defset.elements.dtype == image.dtype, (m, h)
-            assert np.array_equal(pc.defset.elements, image), (m, h)
+            assert els.dtype == image.dtype, (m, h)
+            assert np.array_equal(els, image) and np.array_equal(pc.phis, image), (m, h)
             assert pc.k == gf2m.gf2_rank(pc.phis.tolist(), m) == (h if m == 2 * h else m), (m, h)
 
 
@@ -629,9 +638,9 @@ def test_export_text_equals_per_bit_rendering(tmp_path):
     for m in range(2, 9):
         for modulus in (None, cases.largest_irreducible(m)):
             ctx = gf2m.build_field(m, modulus)
-            for h, lc in cases.every_code(ctx):
+            for h, kind, lc in cases.every_code(ctx):
                 assert _export_text(lc, tmp_path) == _literal_export_text(lc), (
-                    m, ctx.modulus, h, lc.defset.kind)
+                    m, ctx.modulus, h, kind)
     pc = code_mod.punctured_code(gf2m.build_field(20), 5)
     assert (pc.n, pc.k) == (31775, 20)
     assert _export_text(pc, tmp_path) == _literal_export_text(pc)
@@ -649,6 +658,7 @@ def test_numpy_integers_are_integers_and_floats_are_refused():
     ds = code_mod.defining_set(ctx8, code_mod.D0)
     got, ref = code_mod.build_code(ctx8, i64(2), ds), code_mod.build_code(ctx8, 2, ds)
     assert (got.h, got.n, got.k) == (ref.h, ref.n, ref.k) and type(got.h) is int
+    assert type(code_mod.punctured_code(ctx8, i64(2)).h) is int  # export prints this h
     assert np.array_equal(got.phis, ref.phis)
     assert code_mod.weight_distribution(got) == code_mod.weight_distribution(ref)
     ctx5 = gf2m.build_field(5)

@@ -171,6 +171,33 @@ def test_check_case_refuses_an_unknown_variant():
         predict.check_case(punctured, 6, 1, "bogus", predict.C6)
 
 
+def _distribution_of(pred):
+    """The distribution a code has where pred holds: the zero codeword joins
+    the weight-0 row, whose 2^(m-k) messages give k."""
+    counts = dict(pred.counts)
+    counts[0] = counts.get(0, 0) + 1
+    k = pred.m + 1 - counts[0].bit_length()
+    return code_mod.WeightDistribution(counts, pred.n, k, min(w for w in counts if w))
+
+
+def test_check_case_picks_the_paper_table_up_to_m40():
+    # enumeration stops at m = 20, so past it the choice of table is held
+    # against cases.expected_source on distributions built from the tables
+    for m in range(3, 41):
+        units = (1 << m) - 1
+        simplex = code_mod.WeightDistribution({0: 1, 1 << (m - 1): units}, units, m, 1 << (m - 1))
+        for h in cases.divisors(m):
+            for kind in code_mod.KINDS:
+                want = cases.expected_source(m, h, kind)
+                if want is None:
+                    rep = predict.check_case(simplex, m, h, kind)
+                    assert (rep.status, rep.source) == (predict.INAPPLICABLE, ""), (m, h, kind)
+                else:
+                    dist = _distribution_of(predict.predict_distribution(m, h, want))
+                    rep = predict.check_case(dist, m, h, kind)
+                    assert (rep.status, rep.source) == (predict.MATCH, want), (m, h, kind)
+
+
 def test_verify_handles_norm_collapse():
     # m = 2h: the table predicts a zero-weight row; enumeration folds it
     # into the zero-codeword count and the rank drop is reported, not hidden
