@@ -20,17 +20,26 @@ The rank k is read off a strided sample of about 8m columns first; a
 full-rank code reaches rank m within that sample and touches no other
 column.  Only when the sample falls short does the rank go on to the
 distinct nonzero columns, read off one presence mask over the field in
-integer order: a code whose rank collapses to k (m = 2h) has at most
-2^k - 1 of them.  The punctured defining set, the image of x -> x^(2^h+1)
-on the cyclic group GF(2^m)^*, is the subgroup <g^d> with
-d = gcd(2^h+1, 2^m-1), read off the antilog table with stride d.
+integer order (a code whose rank collapses to k, as at m = 2h, has at most
+2^k - 1 of them) and reduced against the sample's basis in vectorised
+XORs, so that only columns outside its span reach the elimination.  The
+punctured defining set, the image of x -> x^(2^h+1) on the cyclic group
+GF(2^m)^*, is the subgroup <g^d> with d = gcd(2^h+1, 2^m-1), read off the
+antilog table with stride d.
 
-Enumeration takes one route for every code, the Walsh route: one
-Walsh-Hadamard transform of the column counts gives the weight of every
-message at once, in O(n + m*2^m) operations, so every m the field module
-admits is enumerated.  The transform runs in plain coordinates, where the
-weight of message x sits at B[x] for the dual-coordinate bijection B; the
-weight distribution is a histogram, so it needs no reindexing.
+Enumeration takes one route, the Walsh route: one Walsh-Hadamard
+transform of the column counts gives the weight of every message at once,
+in O(n + m*2^m) operations, so every m the field module admits is
+enumerated.  The transform runs in plain coordinates, where the weight of
+message x sits at B[x] for the dual-coordinate bijection B; the weight
+distribution is a histogram, so it needs no reindexing.
+weight_distribution transforms one code.  weight_distributions enumerates
+every kind at one (m, h) from two transforms, because the transform is
+linear in the columns: as column multisets full = d0 + d1, and where the
+punctured code exists each of its columns occurs d times among the full
+code's.  It transforms d0 and d1, or d0 and the punctured code, derives
+the other weights by adding, scaling and subtracting, and never builds the
+full code.
 """
 
 from __future__ import annotations
@@ -54,6 +63,17 @@ KINDS = (D0, D1, FULL_STAR, PUNCTURED_IMAGE)
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown defining-set kind {kind!r}; expected one of {KINDS}")
+
+
+def _punctured_refusal(m: int, h: int) -> str:
+    """Why the punctured image does not exist at (m, h), or "" where it does:
+    it needs m > 2 and m/h even.  The one statement of that rule."""
+    if m <= 2:
+        return "punctured construction needs m > 2"
+    if (m // h) % 2:
+        return (f"punctured image needs m/h even; for m={m}, h={h} the map "
+                f"x -> x^(2^{h}+1) is a bijection (gcd(2^{h}+1, 2^{m}-1) = 1)")
+    return ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +124,8 @@ def defining_set(ctx: gf2m.FieldCtx, kind: str, h: int = 0) -> DefiningSet:
     """
     if kind == PUNCTURED_IMAGE:
         h = gf2m._validate_subfield_degree(ctx.m, h)
-        if ctx.m <= 2:
-            raise ValueError("punctured construction needs m > 2")
-        if (ctx.m // h) % 2:
-            raise ValueError(
-                f"punctured image needs m/h even; for m={ctx.m}, h={h} the map "
-                f"x -> x^(2^{h}+1) is a bijection (gcd(2^{h}+1, 2^{ctx.m}-1) = 1)"
-            )
+        if reason := _punctured_refusal(ctx.m, h):
+            raise ValueError(reason)
         return DefiningSet(np.sort(ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)]))
     _check_kind(kind)
 
@@ -137,20 +152,22 @@ def _distinct_nonzero(ctx: gf2m.FieldCtx, values: np.ndarray) -> np.ndarray:
 
 
 def _rank(ctx: gf2m.FieldCtx, cols: np.ndarray) -> int:
-    """GF(2) rank of the columns, exactly, from one lazy stream.
+    """GF(2) rank of the columns, exactly.
 
-    The stream yields a strided sample of about 8m columns, then the
-    distinct nonzero columns.  Every value is a column and every column
-    follows the sample, so the span is exact; gf2_basis stops at width m,
-    so a sample that reaches rank m never builds the O(q) presence mask.
+    A strided sample of about 8m columns is eliminated first; a sample that
+    reaches rank m never builds the O(q) presence mask.  Otherwise the
+    distinct nonzero columns are reduced against the sample's basis, one
+    vectorised XOR per basis vector: the basis is fully reduced, so a column
+    ends at zero exactly when it lies in the sample's span, and only the
+    survivors go on to the elimination beside the basis.
     """
-    sample = cols[:: max(1, len(cols) // (8 * ctx.m))].tolist()
-
-    def stream():
-        yield from sample
-        yield from _distinct_nonzero(ctx, cols)
-
-    return gf2m.gf2_rank(stream(), ctx.m)
+    basis = gf2m.gf2_basis(cols[:: max(1, len(cols) // (8 * ctx.m))].tolist(), ctx.m)
+    if len(basis) == ctx.m:
+        return ctx.m
+    rest = _distinct_nonzero(ctx, cols)
+    for lead, b in basis.items():
+        rest ^= np.where((rest >> lead) & 1, b, 0)
+    return gf2m.gf2_rank([*basis.values(), *rest[rest != 0].tolist()], ctx.m)
 
 
 @dataclass(eq=False)
@@ -221,7 +238,7 @@ def variants(m: int, h: int) -> tuple[str, ...]:
     """The kinds of code defined at (m, h): d0, d1 and full, and punctured
     when m/h is even and m > 2."""
     h = gf2m._validate_subfield_degree(m, h)
-    return KINDS if (m // h) % 2 == 0 and m > 2 else KINDS[:3]
+    return KINDS[:3] if _punctured_refusal(m, h) else KINDS
 
 
 def make_code(ctx: gf2m.FieldCtx, h: int, kind: str) -> LinearCode:
@@ -270,17 +287,60 @@ def _weights_by_message(code: LinearCode) -> np.ndarray:
     return _weights(code)[gf2m.dual_coordinates(code.ctx)]
 
 
+def _distribution(weights: np.ndarray, n: int, k: int) -> WeightDistribution:
+    counts = np.bincount(weights)
+    ws = np.flatnonzero(counts)
+    table = dict(zip(ws.tolist(), counts[ws].tolist()))
+    d_min = min((x for x in table if x > 0), default=0)
+    return WeightDistribution(counts=table, n=n, k=k, d_min=d_min)
+
+
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact message-indexed weight counts by full enumeration.
 
     The weights are counted as _weights indexes them, by B[x] rather than
     by x; B is a bijection of the field, so the histogram is the same.
     """
-    counts = np.bincount(_weights(code))
-    ws = np.flatnonzero(counts)
-    table = dict(zip(ws.tolist(), counts[ws].tolist()))
-    d_min = min((x for x in table if x > 0), default=0)
-    return WeightDistribution(counts=table, n=code.n, k=code.k, d_min=d_min)
+    return _distribution(_weights(code), code.n, code.k)
+
+
+def _derived_weights(codes: dict[str, LinearCode]) -> dict[str, np.ndarray]:
+    """The weights of the built codes (d0, d1, and punctured where it exists),
+    and of the full code elsewhere, as _weights indexes them, from two
+    transforms: wt_full = wt_d0 + wt_d1 = d * wt_punct, message by message."""
+    w0 = _weights(codes[D0])
+    if PUNCTURED_IMAGE not in codes:
+        w1 = _weights(codes[D1])
+        return {D0: w0, D1: w1, FULL_STAR: w0 + w1}
+    punct = codes[PUNCTURED_IMAGE]
+    wp = _weights(punct)
+    w1 = wp * (punct.ctx.n_units // punct.n)
+    w1 -= w0
+    return {D0: w0, D1: w1, PUNCTURED_IMAGE: wp}
+
+
+def weight_distributions(ctx: gf2m.FieldCtx, h: int) -> dict[str, WeightDistribution]:
+    """The distribution of every kind at h, keyed in variants(m, h) order,
+    from _derived_weights.  The full code is not built: its k is the
+    punctured code's (the same set of columns), otherwise m when d0 or d1
+    has rank m, else the rank of their columns together; where the
+    punctured code exists, its histogram is the punctured one with every
+    weight scaled by d.
+    """
+    kinds = variants(ctx.m, h)
+    codes = {kind: make_code(ctx, h, kind) for kind in kinds if kind != FULL_STAR}
+    weights = _derived_weights(codes)
+    dists = {kind: _distribution(weights[kind], c.n, c.k) for kind, c in codes.items()}
+    if PUNCTURED_IMAGE in dists:
+        p = dists[PUNCTURED_IMAGE]
+        d = ctx.n_units // p.n
+        full = WeightDistribution({d * w: c for w, c in p.counts.items()}, ctx.n_units, p.k,
+                                  d * p.d_min)
+    else:
+        c0, c1 = codes[D0], codes[D1]
+        k = ctx.m if ctx.m in (c0.k, c1.k) else _rank(ctx, np.concatenate((c0.phis, c1.phis)))
+        full = _distribution(weights[FULL_STAR], ctx.n_units, k)
+    return {kind: dists.get(kind, full) for kind in kinds}
 
 
 def generator_matrix(code: LinearCode) -> np.ndarray:

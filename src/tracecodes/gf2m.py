@@ -328,15 +328,6 @@ def _check_element(ctx: FieldCtx, a: int, name: str = "element") -> int:
 # Scalar operations.
 # ---------------------------------------------------------------------------
 
-def mul(ctx: FieldCtx, a: int, b: int) -> int:
-    a = _check_element(ctx, a)
-    b = _check_element(ctx, b)
-    if a == 0 or b == 0:
-        return 0
-    i = int(ctx.log_table[a]) + int(ctx.log_table[b])
-    return int(ctx.antilog_table[i % ctx.n_units])
-
-
 def pow(ctx: FieldCtx, a: int, k: int) -> int:  # noqa: A001 - field exponentiation
     a = _check_element(ctx, a)
     k = _as_int(k, "k")
@@ -543,7 +534,9 @@ def wht(v: np.ndarray) -> np.ndarray:
     magnitude is at most S = sum |v|.  Integers up to 2^24 are exact in
     float32 and below 2^53 in float64, so the steps run in float32 when
     S <= 2^24 and in float64 when S < 2^53; a larger S is a ValueError, and
-    so is a v that is not of integers or bools.  The package's inputs stay in
+    so is a v that is not of integers or bools.  S is summed only when its
+    bound 2^m * max|v|, from one min and one max, exceeds 2^24, so +-1
+    vectors and 0/1 counts take no sum.  The package's inputs stay in
     float32 up to m = 24: +-1 vectors have S = 2^m and the column counts of a
     code have S = n < 2^m.
     """
@@ -552,17 +545,20 @@ def wht(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"wht needs integer or bool input, got dtype {v.dtype}")
     if v.size & (v.size - 1):
         raise ValueError(f"wht needs a power-of-two length, got {v.size}")
-    # S decides the dtype; a float64 sum of integers is exact up to 2^53 and never
-    # rounds a larger sum below it.  Counts are non-negative and need no |v|.
-    mags = v
-    if v.min(initial=0) < 0:
-        mags = np.abs(v)
-        if mags.dtype.kind == "i":
-            mags = mags.view(f"u{mags.itemsize}")  # |-2^(w-1)| wraps in w signed bits
-    total = mags.sum(dtype=np.float64)
-    if total >= 2.0 ** 53:
-        raise ValueError(f"wht is exact only while sum |v| < 2^53, got {total:.17g}")
-    x = v.astype(np.float32 if total <= 1 << 24 else np.float64)
+    lo, hi = int(v.min(initial=0)), int(v.max(initial=0))
+    small = v.size * max(-lo, hi) <= 1 << 24
+    if not small:
+        mags = v
+        if lo < 0:
+            mags = np.abs(v)
+            if mags.dtype.kind == "i":
+                mags = mags.view(f"u{mags.itemsize}")  # |-2^(w-1)| wraps in w signed bits
+        # a float64 sum of integers is exact to 2^53 and rounds no larger sum below it
+        total = mags.sum(dtype=np.float64)
+        if total >= 2.0 ** 53:
+            raise ValueError(f"wht is exact only while sum |v| < 2^53, got {total:.17g}")
+        small = total <= 1 << 24
+    x = v.astype(np.float32 if small else np.float64)
     y = np.empty_like(x)
     m = v.size.bit_length() - 1
     steps = -(-m // 5)

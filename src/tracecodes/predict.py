@@ -311,8 +311,9 @@ def sweep(
 ) -> list[VerificationReport]:
     """Construct, enumerate and verify every variant for every (m, h).
 
-    For each m in ms and each proper divisor h, every kind that
-    code.variants lists is built and checked with check_case; each row
+    For each m in ms and each proper divisor h, code.weight_distributions
+    enumerates every kind that code.variants lists, from two Walsh
+    transforms, and each is checked with check_case; each row
     checked against T2C adds an informational row, the main row compared
     with the table as printed.  Failures are collected in the reports,
     not raised.  Every m is checked against the degrees gf2m.build_field
@@ -322,8 +323,7 @@ def sweep(
     for m in sorted({gf2m._validate_degree(m) for m in ms}):
         ctx = gf2m.build_field(m, (moduli or {}).get(m))
         for h in [h for h in range(1, m) if m % h == 0]:
-            for variant in code_mod.variants(m, h):
-                dist = code_mod.weight_distribution(code_mod.make_code(ctx, h, variant))
+            for variant, dist in code_mod.weight_distributions(ctx, h).items():
                 reports.append(check_case(dist, m, h, variant))
                 if reports[-1].source == T2C:
                     printed = _compare(predict_distribution(m, h, T2), dist)

@@ -1,8 +1,8 @@
 """Literal references that the tests hold the library against.
 
-The whole-field ones are each one gather from the field's log and antilog
-tables, with none of the linear or quadratic table machinery of gf2m.  The
-scalar ones use no table at all: a shift-and-add product reduced by the
+The whole-field ones, and the scalar product mul, are each one gather from
+the field's log and antilog tables, with none of the linear or quadratic
+table machinery of gf2m.  The other scalar ones use no table at all: a shift-and-add product reduced by the
 modulus, and the absolute and relative traces as sums of squarings.  The
 Walsh transform is the pair butterfly in int64, with no floating point.
 """
@@ -10,6 +10,8 @@ Walsh transform is the pair butterfly in int64, with no floating point.
 from __future__ import annotations
 
 import numpy as np
+
+from tracecodes import gf2m
 
 
 def power_table(ctx, t: int) -> np.ndarray:
@@ -28,6 +30,14 @@ def mul_vec(ctx, c: int, v: np.ndarray) -> np.ndarray:
         logs = int(ctx.log_table[c]) + ctx.log_table[v[nz]]
         out[nz] = ctx.antilog_table.take(logs, mode="wrap")
     return out
+
+
+def mul(ctx, a: int, b: int) -> int:
+    """a * b through the log and antilog tables; a and b are checked as field elements."""
+    a, b = gf2m._check_element(ctx, a), gf2m._check_element(ctx, b)
+    if a == 0 or b == 0:
+        return 0
+    return int(ctx.antilog_table[(int(ctx.log_table[a]) + int(ctx.log_table[b])) % ctx.n_units])
 
 
 def raw_mul(a: int, b: int, modulus: int, m: int) -> int:

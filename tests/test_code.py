@@ -254,6 +254,36 @@ def test_punctured_weights_scale_per_message():
         assert np.array_equal(wf, ((1 << h) + 1) * wp)
 
 
+def test_derived_distributions_equal_each_code_enumerated_alone():
+    # two transforms per h against one weight_distribution per built code:
+    # counts, n, k and d_min, under two moduli per degree and at m = 16, 20
+    fields = [(m, modulus) for m in range(3, 15)
+              for modulus in (None, cases.largest_irreducible(m))] + [(16, None), (20, None)]
+    for m, modulus in fields:
+        ctx = gf2m.build_field(m, modulus)
+        for h in cases.divisors(m):
+            derived = code_mod.weight_distributions(ctx, h)
+            assert tuple(derived) == code_mod.variants(m, h), (m, h)
+            for kind, dist in derived.items():
+                alone = code_mod.weight_distribution(code_mod.make_code(ctx, h, kind))
+                assert dist == alone, (m, ctx.modulus, h, kind)
+
+
+def test_derived_weights_equal_each_code_message_by_message():
+    for m in range(3, 13):
+        ctx = gf2m.build_field(m)
+        for h in cases.divisors(m):
+            codes = {kind: code_mod.make_code(ctx, h, kind) for kind in code_mod.variants(m, h)}
+            derived = code_mod._derived_weights(
+                {kind: c for kind, c in codes.items() if kind != code_mod.FULL_STAR})
+            if code_mod.PUNCTURED_IMAGE in codes:  # the full weights are d times these
+                d = ctx.n_units // codes[code_mod.PUNCTURED_IMAGE].n
+                derived[code_mod.FULL_STAR] = d * derived[code_mod.PUNCTURED_IMAGE]
+            assert derived.keys() == codes.keys(), (m, h)
+            for kind, lc in codes.items():
+                assert np.array_equal(derived[kind], code_mod._weights(lc)), (m, h, kind)
+
+
 def test_single_element_defining_set():
     ctx = gf2m.build_field(5)
     lc = code_mod.build_code(ctx, 1, code_mod.DefiningSet((3,)))
@@ -265,7 +295,7 @@ def test_single_element_defining_set():
 def _codeword_weight_direct(lc, x):
     """Hamming weight of the codeword of message x, one trace per coordinate."""
     ctx = lc.ctx
-    return sum(oracles.raw_trace(gf2m.mul(ctx, x, int(p)), ctx.modulus, ctx.m) for p in lc.phis)
+    return sum(oracles.raw_trace(oracles.mul(ctx, x, int(p)), ctx.modulus, ctx.m) for p in lc.phis)
 
 
 def test_codeword_weight_direct():
@@ -574,7 +604,7 @@ def test_generator_matrix_row_space_is_the_code():
     for x in range(ctx.q):
         words.add(
             np.array(
-                [oracles.raw_trace(gf2m.mul(ctx, x, p), ctx.modulus, ctx.m) for p in lc.phis],
+                [oracles.raw_trace(oracles.mul(ctx, x, p), ctx.modulus, ctx.m) for p in lc.phis],
                 dtype=np.uint8
             ).tobytes()
         )
@@ -662,7 +692,7 @@ def test_numpy_integers_are_integers_and_floats_are_refused():
     assert np.array_equal(got.phis, ref.phis)
     assert code_mod.weight_distribution(got) == code_mod.weight_distribution(ref)
     ctx5 = gf2m.build_field(5)
-    assert gf2m.mul(ctx5, i64(2), np.uint8(3)) == gf2m.mul(ctx5, 2, 3)
+    assert gf2m.pow(ctx5, i64(2), np.uint8(3)) == gf2m.pow(ctx5, 2, 3)
     assert (code_mod.codeword_weight_formula(ctx5, i64(1), 0, np.int32(5))
             == code_mod.codeword_weight_formula(ctx5, 1, 0, 5))
     assert weil.weil_sum_closed_all_b(ctx8, i64(2), i64(7))[0].tolist() == \
@@ -673,7 +703,7 @@ def test_numpy_integers_are_integers_and_floats_are_refused():
         lambda: predict.predict_distribution(6.0, 1, "T3"),
         lambda: predict.predict_distribution(6, 1.0, "T3"),
         lambda: code_mod.build_code(ctx8, 2.0, ds),
-        lambda: gf2m.mul(ctx5, 2.9, 3),
+        lambda: gf2m.pow(ctx5, 2.9, 3),
         lambda: code_mod.codeword_weight_formula(ctx5, 1, 0, 5.5),
         lambda: weil.weil_sum_closed(ctx5, 1, i64(3), 1.0),
         lambda: predict.sweep([3.7]),  # refused, not truncated to m = 3

@@ -324,6 +324,23 @@ def test_adjudication_rows_reuse_their_main_row(monkeypatch):
             predict.check_case(dist, r.m, r.h, r.variant, predict.T2), informational=True)
 
 
+def test_sweep_runs_two_walsh_transforms_per_h(monkeypatch):
+    # one per (m, h) for d0, one for d1 or the punctured code; counts only
+    calls = []
+    inner = gf2m.wht
+
+    def counted(v):
+        calls.append(v.size)
+        return inner(v)
+
+    monkeypatch.setattr(gf2m, "wht", counted)
+    predict.sweep(range(3, 15))
+    assert len(calls) == 52
+    calls.clear()
+    predict.sweep([20])
+    assert len(calls) == 10
+
+
 def test_sweep_empty_range():
     assert predict.sweep([]) == []
 

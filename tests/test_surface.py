@@ -33,7 +33,6 @@ KEEP = {
     "weil_sum_closed_all_b": "a benchmark operation",
     "codeword_weight_formula": "a benchmark operation",
     "is_irreducible": "the tests check their moduli with it",
-    "mul": "the tests multiply field elements with it",
 }
 
 KEEP_FIELDS = {
