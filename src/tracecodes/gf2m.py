@@ -7,10 +7,14 @@ is used for polynomials over GF(2), e.g. x^3 + x + 1 <-> 0b1011 = 11.
 
 A FieldCtx bundles the irreducible modulus, the smallest primitive element,
 and the log/antilog/trace tables that every downstream enumeration leans on.
-Tables are numpy arrays so batch kernels can index them directly; the scalar
-operations below cast back to int.  They are built from GF(2)-linear maps
-(multiplication by a constant, the trace) tabulated by linear_table, so a
-field costs O(2^m) array work and about 2^(m/2) Python steps.
+Tables are numpy arrays so batch kernels can index them directly.  They are
+built from GF(2)-linear maps (multiplication by a constant, the trace)
+tabulated by linear_table, so a field costs O(2^m) array work and about
+2^(m/2) Python steps.
+
+The GF(2) linear algebra reads no field table: gf2_basis eliminates,
+gf2_solve solves M x = rhs for every rhs at once, and quadratic_form reads
+the radical, t and the Arf invariant off a quadratic form given as ints.
 
 GF(2)-quadratic maps, such as x -> x^(2^h+1) and the closed Weil sums'
 character, are tabulated the same way by quadratic_table: the map itself is
@@ -169,6 +173,46 @@ def gf2_solve(cols: list[int], m: int) -> tuple[list[int], list[int]]:
     return reductions, [v for lead, v in basis.items() if lead < m]
 
 
+def quadratic_form(diag: int, gram: list[int], trace: int) -> tuple[list[int], int, int, int]:
+    """(reductions, t, arf, dim W) of the quadratic form Q on m = len(gram) bits
+    with Q(e_i) = bit i of diag and polar form B(e_i, e_k) = bit k of gram[i].
+
+    gram is symmetric with zero diagonal, so gf2_solve(gram, m) solves
+    B(., x) = <., rhs>, and its kernel is the radical W.  Q is linear on W,
+    and t = 1 when it is nonzero there; Q' = Q + t*<., trace> must vanish on
+    W, else RuntimeError.  Then sum (-1)^Q'(x) = (-1)^arf * 2^((m + dim W)/2),
+    arf = Arf(Q') by symplectic reduction: each e_i pairs with the first w left
+    where B(e_i, w) = 1, and every x left becomes x + B(x, w)*e_i + B(x, e_i)*w.
+    """
+    m, gram = len(gram), list(gram)  # a copy: the reduction rewrites its rows
+    reductions, radical = gf2_solve(gram, m)
+
+    def form(x: int) -> int:  # Q(x) = <x, diag> + B(e_i, e_k) over the pairs k < i in x
+        q = (x & diag).bit_count()
+        while x:
+            i = x.bit_length() - 1
+            x ^= 1 << i
+            q += (gram[i] & x).bit_count()
+        return q & 1
+
+    on_w = [form(w) for w in radical]  # Q is linear on W: its values on W's basis
+    t = int(any(on_w))
+    if any(q ^ t & (w & trace).bit_count() & 1 for q, w in zip(on_w, radical)):
+        raise RuntimeError(f"Q + t*Tr does not vanish on the radical of a form on {m} bits")
+    quad, left, arf = [(diag ^ t * trace) >> i & 1 for i in range(m)], list(range(m)), 0
+    while left:
+        i = left.pop(0)
+        k = next((k for k in left if gram[i] >> k & 1), None)
+        if k is not None:  # else e_i now lies in the radical
+            left.remove(k)
+            arf ^= quad[i] & quad[k]
+            for x in left:
+                bw, bv = gram[x] >> k & 1, gram[x] >> i & 1  # B(x, w), B(x, e_i)
+                gram[x] ^= bw * gram[i] ^ bv * gram[k]
+                quad[x] ^= bw & quad[i] ^ bv & quad[k] ^ bw & bv
+    return reductions, t, arf, len(radical)
+
+
 # ---------------------------------------------------------------------------
 # Field context.
 # ---------------------------------------------------------------------------
@@ -322,32 +366,6 @@ def _check_element(ctx: FieldCtx, a: int, name: str = "element") -> int:
     if not 0 <= a < ctx.q:
         raise ValueError(f"{name}={a} is not an element of GF(2^{ctx.m})")
     return a
-
-
-# ---------------------------------------------------------------------------
-# Scalar operations.
-# ---------------------------------------------------------------------------
-
-def pow(ctx: FieldCtx, a: int, k: int) -> int:  # noqa: A001 - field exponentiation
-    a = _check_element(ctx, a)
-    k = _as_int(k, "k")
-    if k < 0:
-        raise ValueError("negative exponents are not supported")
-    if a == 0:
-        return 1 if k == 0 else 0
-    return int(ctx.antilog_table[(int(ctx.log_table[a]) * k) % ctx.n_units])
-
-
-def basis_images(ctx: FieldCtx, c: int, k: int) -> np.ndarray:
-    """c * e_j^(2^k) for every polynomial basis element e_j = x^j, j < m; c != 0."""
-    logs = ctx.log_table[1 << np.arange(ctx.m, dtype=np.int64)]
-    return ctx.antilog_table[(int(ctx.log_table[c]) + (logs << k)) % ctx.n_units]
-
-
-def linearized_columns(ctx: FieldCtx, h: int, a: int) -> np.ndarray:
-    """L(e_j) for j < m, where L(x) = a^(2^h) * x^(2^(2h)) + a * x is the
-    GF(2)-linear left side of the closed forms' affine equation."""
-    return basis_images(ctx, pow(ctx, a, 1 << h), 2 * h) ^ basis_images(ctx, a, 0)
 
 
 # ---------------------------------------------------------------------------

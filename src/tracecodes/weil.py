@@ -11,33 +11,36 @@ E[i] = (2^h+1)*i mod (2^m-1) from gf2m.exponent_table, and that of b*x is
 Tr(g^(log b + i)); both are gathers from gf2m.trace_of_antilog, so no field
 multiplication runs.  It stays a literal sum: every x contributes its own
 term exactly once, read from the core tables alone, and no closed-route
-function (_regime, _character, _arf, gf2m.gf2_solve, quadratic_table) is
-called, so the routes remain independent checks of each other.  The all-b
-direct kernel scatters the same log-order bits into x order through the
-antilog table, then into Walsh bins through gf2m.dual_coordinates.
+function (_regime, _character, gf2m.quadratic_form, gf2m.gf2_solve,
+quadratic_table) is called, so the routes remain independent checks of each
+other.  The all-b direct kernel scatters the same log-order bits into x
+order through the antilog table, then into Walsh bins through
+gf2m.dual_coordinates.
 
 The closed form is one computation in every regime.  With q = 2^h and
 d = gcd(q+1, 2^m-1), write a = g^j * c^(q+1) with j = log a mod d.  The
 substitution x -> x/c gives S_h(a, b) = S_h(g^j, b/c) (R. S. Coulter, "On
 the evaluation of a class of Weil sums in characteristic 2", New Zealand J.
 Math., 1999), so the inputs are normalised to (a', b') = (g^j, b/c), of
-which there are d values of a'.  Q(x) = Tr(a'*x^(q+1)) is a GF(2)-valued
-quadratic form whose polar form Tr(y * (a'*x^q + (a'*x)^(1/q))) has the
-radical W, the kernel of L(x) = a'^q * x^(q^2) + a' * x.  On W, Q is linear
-and equals t*Tr for one t in {0, 1}, so Q' = Q + t*Tr vanishes on W and
-sum (-1)^Q'(x) = (-1)^Arf(Q') * 2^((m + dim W)/2) (Lidl and Niederreiter,
-Finite Fields, ch. 6), which is the scale.  Completing the square with a
-solution x0 of the affine equation
+which there are d values of a'.  Q(x) = Tr(a'*x^(q+1)) is a quadratic form
+with the Gram matrix B(e_i, e_k) = Q(e_i + e_k) + Q(e_i) + Q(e_k), whose
+kernel is the radical W.  On W, Q is linear and equals t*Tr for one t in
+{0, 1}, so Q' = Q + t*Tr vanishes on W and the scale sum (-1)^Q'(x) is
+(-1)^Arf(Q') * 2^((m + dim W)/2) (Lidl and Niederreiter, Finite Fields,
+ch. 6).  With v = b' + t, S_h(a, b) sums (-1)^(Q'(x) + Tr(v*x)), and Q' has
+Q's polar form B, so completing the square with an x0 such that
+B(x, x0) = Tr(v*x) for every x, that is
 
-    a'^q * x^(q^2) + a' * x = (b' + t)^q
+    gram * x0 = D[v], with bit i of D[v] = Tr(v*e_i) (gf2m.dual_coordinates),
 
-gives S_h(a, b) = scale * (-1)^Q'(x0), and S_h(a, b) = 0 when the equation
-has no solution.  Q'(x0) is the same at every solution, so any x0 serves,
-and b = 0 needs no case of its own.  Everything but b' = u*b (u = 1/c)
-depends on (h, j) alone, so _coset computes it once per field, h and j:
-one gf2m.gf2_solve elimination of L, whose kernel is W and whose reductions
-of the e_i are cols, then t from Q on W and Arf(Q') by a symplectic
-reduction (_arf).  The closed kernels differ only in how they apply cols.
+gives S_h(a, b) = scale * (-1)^Q'(x0), and S_h(a, b) = 0 when there is no
+x0.  Q'(x0) is the same at every solution, so any x0 serves, and b = 0
+needs no case of its own.  Everything but b' = u*b (u = 1/c) depends on
+(h, j) alone, so _coset computes it once per field, h and j: it reads
+Q(e_i), the Gram rows and Tr(e_i) off the field, and gf2m.quadratic_form
+returns, from those ints alone, cols (the reductions of the e_i for the
+Gram matrix), t, Arf(Q') and dim W.  The closed kernels differ only in how
+they apply cols.
 """
 
 from __future__ import annotations
@@ -95,40 +98,15 @@ def _character(ctx: gf2m.FieldCtx, h: int, j: int, t: int, x):
     return bits ^ ctx.trace_table[x] if t else bits
 
 
-def _arf(ctx: gf2m.FieldCtx, h: int, j: int, t: int) -> int:
-    """Arf(Q') by symplectic reduction of the polynomial basis e_i, for a Q'
-    that vanishes on its radical.  Bit k of gram[i] is the polar form
-    B(e_i, e_k) = Q'(e_i + e_k) + Q'(e_i) + Q'(e_k); each e_i pairs with the
-    first w left where B(e_i, w) = 1, and every x left becomes
-    x + B(x, w)*e_i + B(x, e_i)*w, orthogonal to both."""
-    e = 1 << np.arange(ctx.m, dtype=np.int64)
-    quad = _character(ctx, h, j, t, e)
-    gram = ((_character(ctx, h, j, t, e[:, None] ^ e) ^ quad[:, None] ^ quad) @ e).tolist()
-    quad, left, arf = quad.tolist(), list(range(ctx.m)), 0
-    while left:
-        i = left.pop(0)
-        k = next((k for k in left if gram[i] >> k & 1), None)
-        if k is not None:  # else e_i now lies in the radical
-            left.remove(k)
-            arf ^= quad[i] & quad[k]
-            for x in left:
-                bw, bv = gram[x] >> k & 1, gram[x] >> i & 1  # B(x, w), B(x, e_i)
-                gram[x] ^= bw * gram[i] ^ bv * gram[k]
-                quad[x] ^= bw & quad[i] ^ bv & quad[k] ^ bw & bv
-    return arf
-
-
 def _coset(ctx: gf2m.FieldCtx, h: int, j: int):
-    """(cols, t, scale) for a' = g^j: cols[k] is the gf2m.gf2_solve reduction
-    of 2^k for L, then t and the scale.  The solver's kernel is a basis of W."""
-    m = ctx.m
-    cols, radical = gf2m.gf2_solve(gf2m.linearized_columns(ctx, h, int(ctx.antilog_table[j])), m)
-    radical = np.array(radical, dtype=np.int64)
-    t = int(_character(ctx, h, j, 0, radical).any())  # Q is t*Tr on W
-    if _character(ctx, h, j, t, radical).any():
-        raise RuntimeError(f"Q + t*Tr does not vanish on the radical for m={m} h={h} j={j}")
-    scale = (1 - 2 * _arf(ctx, h, j, t)) << ((m + len(radical)) // 2)
-    return cols, t, scale
+    """(cols, t, scale) for a' = g^j from gf2m.quadratic_form, fed with bit i
+    of diag = Q(e_i), bit k of gram[i] = Q(e_i + e_k) + Q(e_i) + Q(e_k) and
+    bit i of trace = Tr(e_i), for Q(x) = Tr(g^j * x^(2^h+1))."""
+    e = 1 << np.arange(ctx.m, dtype=np.int64)
+    quad = _character(ctx, h, j, 0, e)
+    gram = ((_character(ctx, h, j, 0, e[:, None] ^ e) ^ quad[:, None] ^ quad) @ e).tolist()
+    cols, t, arf, dim = gf2m.quadratic_form(int(quad @ e), gram, int(ctx.trace_table[e] @ e))
+    return cols, t, (1 - 2 * arf) << ((ctx.m + dim) // 2)
 
 
 def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple:
@@ -146,9 +124,9 @@ def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumVa
     """Closed-form S_h(a, b), signed in every regime; see the module docstring."""
     h, a, b = _validate_query(ctx, h, a, b)
     u, j, cols, t, scale = _regime(ctx, h, a)
-    n, log, x0 = ctx.n_units, ctx.log_table, 0  # rhs = (u*b + t)^q by the log tables
-    v = int(ctx.antilog_table[(int(log[u]) + int(log[b])) % n]) ^ t if b else t
-    rhs = int(ctx.antilog_table[(int(log[v]) << h) % n]) if v else 0
+    n, log, x0 = ctx.n_units, ctx.log_table, 0
+    v = int(ctx.antilog_table[(int(log[u]) + int(log[b])) % n]) ^ t if b else t  # u*b + t
+    rhs = int(gf2m.dual_coordinates(ctx)[v])  # bit i of rhs is Tr(v * e_i)
     for k, col in enumerate(cols):  # x0 is the reduction of rhs, a solution if < 2^m
         if rhs >> k & 1:
             x0 ^= col
@@ -187,10 +165,10 @@ def weil_sum_closed_all_b(
     """Closed-form values for every b: (values int64[q], exact bool[q]).
 
     The same closed form as weil_sum_closed, for all b at once: the
-    right-hand side (u*b + t)^q = u^q * b^q + t is GF(2)-linear in b up to
-    the constant t, so its reduction is tabulated from those of the m basis
-    images and of t, each the XOR of the coset's cols over its set bits.
-    The solution x0(b) is then affine in b, so the character bit
+    right-hand side D[u*b + t] = D[u*b] + t*D[1] is GF(2)-linear in b up to
+    the constant t*D[1], so its reduction is tabulated from those of the m
+    images D[u*e_k] and of D[1], each the XOR of the coset's cols over its
+    set bits.  The solution x0(b) is then affine in b, so the character bit
     b -> Tr(a'*x0(b)^(q+1) + t*x0(b)) is GF(2)-quadratic in b, and
     gf2m.quadratic_table fills it from about 2^(m/2+1) values taken by the
     log route.  Every entry is exact and signed, so exact is all True; the
@@ -198,9 +176,11 @@ def weil_sum_closed_all_b(
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
     u, j, cols, t, scale = _regime(ctx, h, a)
-    images = gf2m.basis_images(ctx, gf2m.pow(ctx, u, 1 << h), h)
-    by_bit = images[:, None] >> np.arange(ctx.m) & 1  # the bits of each image
-    reduced = gf2m.linear_table(np.bitwise_xor.reduce(by_bit * cols, axis=1)) ^ cols[0] * t
+    ue = ctx.antilog_table[(ctx.log_table[u] + ctx.log_table[1 << np.arange(ctx.m)]) % ctx.n_units]
+    rhs = gf2m.dual_coordinates(ctx)[np.append(ue, 1)]  # D[u*e_k] for k < m, then D[1]
+    by_bit = rhs[:, None] >> np.arange(ctx.m) & 1  # the bits of each right side
+    reductions = np.bitwise_xor.reduce(by_bit * cols, axis=1)
+    reduced = gf2m.linear_table(reductions[:-1]) ^ reductions[-1] * t
     bits = gf2m.quadratic_table(
         lambda bs: _character(ctx, h, j, t, reduced[bs] & (ctx.q - 1)), ctx.m, np.uint8)
     values = np.where(bits, -scale, scale) * (reduced < ctx.q)

@@ -1,10 +1,11 @@
 """Literal references that the tests hold the library against.
 
-The whole-field ones, and the scalar product mul, are each one gather from
-the field's log and antilog tables, with none of the linear or quadratic
-table machinery of gf2m.  The other scalar ones use no table at all: a shift-and-add product reduced by the
-modulus, and the absolute and relative traces as sums of squarings.  The
-Walsh transform is the pair butterfly in int64, with no floating point.
+The whole-field ones, and the scalar product mul and power pow, are each one
+gather from the field's log and antilog tables, with none of the linear or
+quadratic table machinery of gf2m.  The other scalar ones use no table at
+all: a shift-and-add product reduced by the modulus, and the absolute and
+relative traces as sums of squarings.  The Walsh transform is the pair
+butterfly in int64, with no floating point.
 """
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ def mul(ctx, a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return int(ctx.antilog_table[(int(ctx.log_table[a]) + int(ctx.log_table[b])) % ctx.n_units])
+
+
+def pow(ctx, a: int, k: int) -> int:  # noqa: A001 - field exponentiation
+    """a^k through the log and antilog tables, k >= 0; a is checked as a field
+    element, and a negative or non-integer k is a ValueError."""
+    a, k = gf2m._check_element(ctx, a), gf2m._as_int(k, "k")
+    if k < 0:
+        raise ValueError("negative exponents are not supported")
+    if a == 0:
+        return 1 if k == 0 else 0
+    return int(ctx.antilog_table[(int(ctx.log_table[a]) * k) % ctx.n_units])
 
 
 def raw_mul(a: int, b: int, modulus: int, m: int) -> int:

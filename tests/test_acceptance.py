@@ -149,7 +149,7 @@ def test_criterion_7_image_trace_split_counts():
             # independent recount, scalar route
             exp = (1 << h) + 1
             ones = sum(
-                oracles.raw_trace(gf2m.pow(ctx, x, exp), ctx.modulus, m) for x in range(ctx.q)
+                oracles.raw_trace(oracles.pow(ctx, x, exp), ctx.modulus, m) for x in range(ctx.q)
             )
             assert (t0, t1) == (ctx.q - ones, ones)
         counted += 1
@@ -198,7 +198,7 @@ def test_criterion_9_property_suite():
         xor = np.arange(q)[:, None] ^ np.arange(q)[None, :]
         assert (t[:, xor] == t[:, :, None] ^ t[:, None, :]).all()  # distributivity
         for x in range(1, q):
-            assert t[x, gf2m.pow(ctx, x, q - 2)] == 1
+            assert t[x, oracles.pow(ctx, x, q - 2)] == 1
     # trace linearity and Frobenius invariance
     for m in range(2, 11):
         ctx = gf2m.build_field(m)

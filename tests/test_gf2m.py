@@ -3,8 +3,9 @@
 The polynomial helpers are checked against a naive coefficient-list oracle,
 the table-driven arithmetic against table-free reference operations, the
 log, antilog and trace tables against a literal one-power-at-a-time chase, and
-the linearized-equation solver against exhaustive substitution.  Expected values
-that appear as literals were derived by hand or by the oracles here.
+the solver and the quadratic-form routine against exhaustive substitution.
+Expected values that appear as literals were derived by hand or by the
+oracles here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from tracecodes import code as code_mod
 from tracecodes import gf2m
+from tracecodes import weil
 
 import cases
 import oracles
@@ -163,13 +165,13 @@ def test_generator_frozen_values():
 def test_scalar_ops_frozen_values():
     ctx = gf2m.build_field(3)  # x^3 + x + 1
     assert oracles.mul(ctx, 0b010, 0b100) == 0b011  # x * x^2 = x + 1
-    assert gf2m.pow(ctx, 0b010, 3) == 0b011
-    assert gf2m.pow(ctx, 0, 0) == 1
-    assert gf2m.pow(ctx, 0, 5) == 0
+    assert oracles.pow(ctx, 0b010, 3) == 0b011
+    assert oracles.pow(ctx, 0, 0) == 1
+    assert oracles.pow(ctx, 0, 5) == 0
     assert oracles.mul(ctx, 0, 6) == 0
     assert oracles.mul(ctx, 1, 6) == 6
     with pytest.raises(ValueError):
-        gf2m.pow(ctx, 3, -1)
+        oracles.pow(ctx, 3, -1)
     with pytest.raises(ValueError):
         oracles.mul(ctx, 8, 1)
 
@@ -277,7 +279,7 @@ def test_field_axioms_exhaustive():
         assert np.array_equal(t[:, xor], t[:, :, None] ^ t[:, None, :])
         # every nonzero element has an inverse
         for a in range(1, q):
-            assert oracles.mul(ctx, a, gf2m.pow(ctx, a, q - 2)) == 1
+            assert oracles.mul(ctx, a, oracles.pow(ctx, a, q - 2)) == 1
         # squaring is additive
         sq = oracles.power_table(ctx, 2)
         assert np.array_equal(sq[xor], sq[:, None] ^ sq[None, :])
@@ -445,36 +447,100 @@ def _solutions(sol) -> set[int]:
     return {x0 ^ v for v in _span(kernel)}
 
 
-def test_solve_affine_linearized_exhaustive():
-    """gf2_solve on the columns of a^(2^h) x^(2^(2h)) + a x gives the
-    brute-force solution sets, and kernel sizes follow the two regimes: 2^h
-    roots when m/h is odd, and for even m/h either 2^(2h) roots or only x=0
-    depending on whether a is a (2^h+1)-th power."""
+def test_gram_kernel_is_the_radical_exhaustive(monkeypatch):
+    """gf2_solve on the Gram rows that weil._coset reads off the field for
+    Q(x) = Tr(a x^(2^h+1)) has the brute-force radical
+    {x : Q(x+y) + Q(x) + Q(y) = 0 for all y} as its kernel, for every a:
+    2^h elements when m/h is odd, and for even m/h either 2^(2h) or only
+    x = 0, by whether a is a (2^h+1)-th power.  Its solution sets of
+    B(., x) = Tr(v .) equal brute force for one v per a.  Only for a = g^j,
+    j < d, is Q + t*Tr zero on the radical, so quadratic_form is not run."""
     import math
-    for m, hs in ((4, (1, 2)), (6, (1, 2, 3))):
+    forms = []
+
+    def capture(diag, gram, trace):
+        forms.append(gram)
+        return [], 0, 0, 0
+
+    monkeypatch.setattr(gf2m, "quadratic_form", capture)
+    for m in (4, 6):
         ctx = gf2m.build_field(m)
-        for h in hs:
-            t = (1 << h) + 1
-            d = math.gcd(t, ctx.n_units)
+        xs = np.arange(ctx.q, dtype=np.int64)
+        for h in cases.divisors(m):
+            power = oracles.power_table(ctx, (1 << h) + 1)
+            d = math.gcd((1 << h) + 1, ctx.n_units)
             for a in range(1, ctx.q):
-                a2h = gf2m.pow(ctx, a, 1 << h)
-                texp = 1 << ((2 * h) % m)
-
-                def apply(x: int) -> int:
-                    return oracles.mul(ctx, a2h, gf2m.pow(ctx, x, texp)) ^ oracles.mul(ctx, a, x)
-
-                cols = gf2m.linearized_columns(ctx, h, a)
-                roots = _solutions(_solve(cols, 0, m))
-                assert roots == {x for x in range(ctx.q) if apply(x) == 0}
+                forms.clear()
+                weil._coset(ctx, h, int(ctx.log_table[a]))
+                (gram,) = forms
+                form = ctx.trace_table[oracles.mul_vec(ctx, a, power)]
+                polar = form[xs[:, None] ^ xs] ^ form[:, None] ^ form
+                radical = {x for x in range(ctx.q) if not polar[x].any()}
+                assert _solutions(_solve(gram, 0, m)) == radical
                 if (m // h) % 2:
-                    assert len(roots) == 1 << h
+                    assert len(radical) == 1 << h
                 elif int(ctx.log_table[a]) % d == 0:
-                    assert len(roots) == 1 << (2 * h)
+                    assert len(radical) == 1 << (2 * h)
                 else:
-                    assert roots == {0}
-                rhs = (a * 7 + h) % ctx.q  # arbitrary deterministic right side
-                sols = _solutions(_solve(cols, rhs, m))
-                assert sols == {x for x in range(ctx.q) if apply(x) == rhs}
+                    assert radical == {0}
+                v = (a * 7 + h) % ctx.q  # arbitrary deterministic v
+                tr_v = ctx.trace_table[oracles.mul_vec(ctx, v, xs)]  # Tr(v y) for every y
+                rhs = sum(int(tr_v[1 << i]) << i for i in range(m))
+                sols = _solutions(_solve(gram, rhs, m))
+                assert sols == {x for x in range(ctx.q) if np.array_equal(polar[x], tr_v)}
+
+
+def _parities(m: int) -> np.ndarray:
+    """popcount(x) mod 2 for every x < 2^m, as uint8."""
+    par = np.zeros(1, dtype=np.uint8)
+    for _ in range(m):
+        par = np.concatenate([par, par ^ 1])
+    return par
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.integers(0, (1 << (m * (m - 1) // 2)) - 1),
+        st.integers(0, (1 << m) - 1),
+        st.integers(0, (1 << m) - 1),
+    ))
+)
+def test_quadratic_form_against_brute_force(case):
+    """quadratic_form on a random form with no field behind it: a symmetric
+    zero-diagonal gram from the upper-triangle bits, a diag and a trace mask.
+    Q is tabulated at all 2^m points by Q(x + e_j) = Q(x) + Q(e_j) + B(x, e_j)
+    for x < 2^j, and every output is held against that table."""
+    m, upper, diag, trace = case
+    gram = [0] * m
+    pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+    for bit, (i, k) in enumerate(pairs):
+        if upper >> bit & 1:
+            gram[i] |= 1 << k
+            gram[k] |= 1 << i
+    par, xs = _parities(m), np.arange(1 << m, dtype=np.int64)
+    form = np.zeros(1, dtype=np.uint8)
+    for j in range(m):
+        form = np.concatenate([form, form ^ (diag >> j & 1) ^ par[xs[:1 << j] & gram[j]]])
+    polar = form[xs[:, None] ^ xs] ^ form[:, None] ^ form
+    radical = [x for x in range(1 << m) if not polar[x].any()]
+    t = int(any(form[w] for w in radical))  # Q is linear on W, so nonzero there or zero
+    shifted = form ^ t * par[xs & trace]  # Q' = Q + t*<., trace>
+    if any(shifted[w] for w in radical):
+        with pytest.raises(RuntimeError, match="radical"):
+            gf2m.quadratic_form(diag, gram, trace)
+        return
+    reductions, got_t, arf, dim = gf2m.quadratic_form(diag, gram, trace)
+    assert all(type(v) is int for v in reductions + [got_t, arf, dim])
+    assert 1 << dim == len(radical) and got_t == t
+    images = {_apply(gram, x) for x in range(1 << m)}
+    for rhs in range(1 << m):
+        r = _apply(reductions, rhs)
+        assert (r >> m == 0) == (rhs in images), rhs
+        if r >> m == 0:
+            assert _apply(gram, r) == rhs
+    assert (1 << m) - 2 * int(shifted.sum()) == (1 - 2 * arf) << ((m + dim) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +553,7 @@ def test_power_table_and_mul_vec():
     for t in (1, 2, 3, 5, 9):
         pt = oracles.power_table(ctx, t)
         for x in (0, 1, 2, 17, 63):
-            assert int(pt[x]) == gf2m.pow(ctx, x, t)
+            assert int(pt[x]) == oracles.pow(ctx, x, t)
     for c in (0, 1, 5, 40):
         mv = oracles.mul_vec(ctx, c, xs)
         for x in (0, 1, 3, 62):
@@ -497,10 +563,10 @@ def test_power_table_and_mul_vec():
 def test_exponents_must_be_integers():
     ctx = gf2m.build_field(5)
     with pytest.raises(ValueError, match="not an integer"):
-        gf2m.pow(ctx, 3, 2.5)
+        oracles.pow(ctx, 3, 2.5)
     with pytest.raises(ValueError, match="not an integer"):
         gf2m.exponent_table(ctx, 3.0)
-    assert gf2m.pow(ctx, 3, np.int64(7)) == gf2m.pow(ctx, 3, 7)
+    assert oracles.pow(ctx, 3, np.int64(7)) == oracles.pow(ctx, 3, 7)
     assert np.array_equal(oracles.power_table(ctx, np.int32(3)), oracles.power_table(ctx, 3))
 
 
@@ -517,7 +583,7 @@ def test_exponent_table_against_literal_powers():
             e = gf2m.exponent_table(ctx, t)
             assert e.shape == (n,) and 0 <= e.min() and e.max() < n
             for i in range(n):
-                assert ctx.antilog_table[e[i]] == gf2m.pow(ctx, int(ctx.antilog_table[i]), t)
+                assert ctx.antilog_table[e[i]] == oracles.pow(ctx, int(ctx.antilog_table[i]), t)
             assert gf2m.exponent_table(ctx, t) is e
 
 
@@ -570,7 +636,7 @@ def test_quadratic_table_of_a_field_map():
         for h in range(m):
             a, b, c = 3 + h, 7 * h + 1, ctx.q - 1 - h
             literal = np.array([
-                oracles.mul(ctx, a, gf2m.pow(ctx, x, (1 << h) + 1)) ^ oracles.mul(ctx, b, x) ^ c
+                oracles.mul(ctx, a, oracles.pow(ctx, x, (1 << h) + 1)) ^ oracles.mul(ctx, b, x) ^ c
                 for x in range(ctx.q)])
             table = gf2m.quadratic_table(lambda p: literal[p], m, np.int64)
             assert np.array_equal(table, literal), (m, h)

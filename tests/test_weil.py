@@ -64,7 +64,7 @@ def test_frozen_values():
     assert weil.weil_sum_closed(ctx2, 1, ctx2.generator, 0).value == -2
 
     ctx6 = gf2m.build_field(6)
-    a = gf2m.pow(ctx6, ctx6.generator, 3)  # a cube, m/h even regime
+    a = oracles.pow(ctx6, ctx6.generator, 3)  # a cube, m/h even regime
     got = weil.weil_sum_closed(ctx6, 1, a, 0)
     assert got.is_exact and got.value == 16
     assert weil.weil_sum_direct(ctx6, 1, a, 0) == 16
@@ -90,9 +90,9 @@ def test_odd_regime_magnitude_branch():
     # a spread of a at m = 9, with c the unique (2^h+1)-th root of a
     ctx = gf2m.build_field(9)
     for h in (1, 3):
-        cubes = {gf2m.pow(ctx, c, (1 << h) + 1): c for c in range(1, ctx.q)}
+        cubes = {oracles.pow(ctx, c, (1 << h) + 1): c for c in range(1, ctx.q)}
         for a in range(1, ctx.q, 37):
-            cinv = gf2m.pow(ctx, cubes[a], ctx.q - 2)
+            cinv = oracles.pow(ctx, cubes[a], ctx.q - 2)
             for b in range(0, ctx.q, 11):
                 got = weil.weil_sum_closed(ctx, h, a, b).value
                 assert got == weil.weil_sum_direct(ctx, h, a, b), (h, a, b)
@@ -162,7 +162,9 @@ def test_batch_direct_matches_scalar_direct_m20():
 
 
 def test_closed_equals_direct_all_b_m13_to_m20():
-    # criterion 6 is exhaustive up to m = 12; above it, two a per divisor
+    # criterion 6 is exhaustive up to m = 12; above it, two a per divisor,
+    # in the default basis and in that of the largest modulus, since the
+    # right sides go through the dual coordinates of the basis
     rng = np.random.default_rng(1320)
     for m in range(13, 21):
         ctx = gf2m.build_field(m)
@@ -172,6 +174,12 @@ def test_closed_equals_direct_all_b_m13_to_m20():
                 d = weil.weil_sum_direct_all_b(ctx, h, int(a))
                 assert v.dtype == d.dtype == np.int64, (m, h)
                 assert ex.all() and np.array_equal(v, d), (m, h, int(a))
+        ctx = gf2m.build_field(m, cases.largest_irreducible(m))
+        for h in cases.divisors(m):
+            for a in rng.integers(1, ctx.q, size=2):
+                v, ex = weil.weil_sum_closed_all_b(ctx, h, int(a))
+                d = weil.weil_sum_direct_all_b(ctx, h, int(a))
+                assert ex.all() and np.array_equal(v, d), (m, ctx.modulus, h, int(a))
 
 
 def test_direct_kernels_call_nothing_of_the_closed_route(monkeypatch):
@@ -180,9 +188,9 @@ def test_direct_kernels_call_nothing_of_the_closed_route(monkeypatch):
 
     ctx = gf2m.build_field(8)
     expect = {(h, b): _oracle_sum(8, ctx.modulus, h, 5, b) for h in (1, 2, 4) for b in (0, 9)}
-    for name in ("_regime", "_character", "_arf"):
+    for name in ("_regime", "_character"):
         monkeypatch.setattr(weil, name, refuse)
-    for name in ("gf2_solve", "quadratic_table", "power_map_table"):
+    for name in ("gf2_solve", "quadratic_form", "quadratic_table", "power_map_table"):
         monkeypatch.setattr(gf2m, name, refuse)
     for (h, b), want in expect.items():
         assert weil.weil_sum_direct(ctx, h, 5, b) == want
