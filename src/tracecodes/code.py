@@ -14,32 +14,32 @@ the inflated zero-weight count as they are.
 
 The columns phi(d) are gathered, in one pass over the defining set, from
 gf2m.power_map_table, which tabulates the GF(2)-quadratic map x -> x^(2^h+1)
-without a remainder or random gather over the field.
+without a remainder or random gather over the field; the punctured columns
+are every d-th antilog entry, d = gcd(2^h+1, 2^m-1) (see defining_set).
 
-The rank k is read off a strided sample of about 8m columns first; a
-full-rank code reaches rank m within that sample and touches no other
-column.  Only when the sample falls short does the rank go on to the
-distinct nonzero columns, read off one presence mask over the field in
-integer order (a code whose rank collapses to k, as at m = 2h, has at most
-2^k - 1 of them) and reduced against the sample's basis in vectorised
-XORs, so that only columns outside its span reach the elimination.  The
-punctured defining set, the image of x -> x^(2^h+1) on the cyclic group
-GF(2^m)^*, is the subgroup <g^d> with d = gcd(2^h+1, 2^m-1), read off the
-antilog table with stride d.
+A built code's k (LinearCode) is the GF(2) rank of its columns, read off
+a strided sample of about 8m columns first; a full-rank code reaches rank
+m within that sample and touches no other column.  Only when the sample
+falls short does the rank go on to the distinct nonzero columns, read off
+one presence mask over the field in integer order (a code whose rank
+collapses to k, as at m = 2h, has at most 2^k - 1 of them) and reduced
+against the sample's basis in vectorised XORs, so that only columns
+outside its span reach the elimination.
 
 Enumeration takes one route, the Walsh route: one Walsh-Hadamard
 transform of the column counts gives the weight of every message at once,
 in O(n + m*2^m) operations, so every m the field module admits is
 enumerated.  The transform runs in plain coordinates, where the weight of
 message x sits at B[x] for the dual-coordinate bijection B; the weight
-distribution is a histogram, so it needs no reindexing.
-weight_distribution transforms one code.  weight_distributions enumerates
-every kind at one (m, h) from two transforms, because the transform is
-linear in the columns: as column multisets full = d0 + d1, and where the
-punctured code exists each of its columns occurs d times among the full
-code's.  It transforms d0 and d1, or d0 and the punctured code, derives
-the other weights by adding, scaling and subtracting, and never builds the
-full code.
+distribution is a histogram, so it needs no reindexing, and the counts need
+no column order.  weight_distribution transforms one built code and takes
+its k from the code.  weight_distributions builds no code: it transforms
+the d0 columns and the d1 or the punctured columns, and derives the other
+kinds' weights, because the transform is linear in the columns: as column
+multisets full = d0 + d1, and where the punctured code exists each of its
+columns occurs d times among the full code's.  It reads each k off the
+histogram, since the 2^(m-k) messages of weight 0 are the kernel of
+x -> codeword; the tests hold that k against the column rank.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:
     return (1 << (ctx.m - 2)) - num // 4
 
 
-def _weights(code: LinearCode) -> np.ndarray:
+def _weights(ctx: gf2m.FieldCtx, cols: np.ndarray) -> np.ndarray:
     """int64[q] with entry y = weight of the codeword of the message x with B[x] = y.
 
     Tr(x*phi) = parity(bits(phi) & B[x]) for the dual-coordinate map B, so
@@ -276,19 +276,25 @@ def _weights(code: LinearCode) -> np.ndarray:
     counts in plain coordinates.  Every column still contributes exactly
     once; only the summation order differs from a per-coordinate count.
     """
-    w = gf2m.wht(np.bincount(code.phis, minlength=code.ctx.q))
-    np.subtract(code.n, w, out=w)
+    w = gf2m.wht(np.bincount(cols, minlength=ctx.q))
+    np.subtract(len(cols), w, out=w)
     w >>= 1
     return w
 
 
 def _weights_by_message(code: LinearCode) -> np.ndarray:
     """int64[q] with entry x = weight of the codeword of message x."""
-    return _weights(code)[gf2m.dual_coordinates(code.ctx)]
+    return _weights(code.ctx, code.phis)[gf2m.dual_coordinates(code.ctx)]
 
 
-def _distribution(weights: np.ndarray, n: int, k: int) -> WeightDistribution:
+def _distribution(weights: np.ndarray, n: int, k: int | None = None) -> WeightDistribution:
+    """The histogram of weights; k, where not given, from the kernel count."""
     counts = np.bincount(weights)
+    if k is None:
+        zeros = int(counts[0])
+        if zeros & (zeros - 1) or not zeros:
+            raise RuntimeError(f"{zeros} messages of weight 0 is no power of two, so no kernel")
+        k = weights.size.bit_length() - zeros.bit_length()
     ws = np.flatnonzero(counts)
     table = dict(zip(ws.tolist(), counts[ws].tolist()))
     d_min = min((x for x in table if x > 0), default=0)
@@ -296,51 +302,51 @@ def _distribution(weights: np.ndarray, n: int, k: int) -> WeightDistribution:
 
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact message-indexed weight counts by full enumeration.
+    """Exact message-indexed weight counts by full enumeration; k is code.k.
 
     The weights are counted as _weights indexes them, by B[x] rather than
     by x; B is a bijection of the field, so the histogram is the same.
     """
-    return _distribution(_weights(code), code.n, code.k)
+    return _distribution(_weights(code.ctx, code.phis), code.n, code.k)
 
 
-def _derived_weights(codes: dict[str, LinearCode]) -> dict[str, np.ndarray]:
-    """The weights of the built codes (d0, d1, and punctured where it exists),
-    and of the full code elsewhere, as _weights indexes them, from two
-    transforms: wt_full = wt_d0 + wt_d1 = d * wt_punct, message by message."""
-    w0 = _weights(codes[D0])
-    if PUNCTURED_IMAGE not in codes:
-        w1 = _weights(codes[D1])
+def _derived_weights(ctx: gf2m.FieldCtx, cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The weights, as _weights indexes them, of d0 and d1 and of the full
+    code or the punctured image, from the columns of d0 and of d1 or the
+    punctured image: wt_full = wt_d0 + wt_d1 = d * wt_punct."""
+    w0 = _weights(ctx, cols[D0])
+    if PUNCTURED_IMAGE not in cols:
+        w1 = _weights(ctx, cols[D1])
         return {D0: w0, D1: w1, FULL_STAR: w0 + w1}
-    punct = codes[PUNCTURED_IMAGE]
-    wp = _weights(punct)
-    w1 = wp * (punct.ctx.n_units // punct.n)
+    wp = _weights(ctx, cols[PUNCTURED_IMAGE])
+    w1 = wp * (ctx.n_units // len(cols[PUNCTURED_IMAGE]))
     w1 -= w0
     return {D0: w0, D1: w1, PUNCTURED_IMAGE: wp}
 
 
 def weight_distributions(ctx: gf2m.FieldCtx, h: int) -> dict[str, WeightDistribution]:
     """The distribution of every kind at h, keyed in variants(m, h) order,
-    from _derived_weights.  The full code is not built: its k is the
-    punctured code's (the same set of columns), otherwise m when d0 or d1
-    has rank m, else the rank of their columns together; where the
-    punctured code exists, its histogram is the punctured one with every
-    weight scaled by d.
+    from the columns of d0 and of d1 (m/h odd) or the punctured image; no
+    code is built and no rank is taken.  The full histogram is the punctured
+    one with every weight scaled by d where the punctured code exists.  A
+    weight-0 count that is no power of two is a RuntimeError.
     """
     kinds = variants(ctx.m, h)
-    codes = {kind: make_code(ctx, h, kind) for kind in kinds if kind != FULL_STAR}
-    weights = _derived_weights(codes)
-    dists = {kind: _distribution(weights[kind], c.n, c.k) for kind, c in codes.items()}
+    power = gf2m.power_map_table(ctx, h)
+    cols = {D0: power[defining_set(ctx, D0).elements]}
+    n = {D0: ctx.q // 2 - 1, D1: ctx.q // 2, FULL_STAR: ctx.n_units}
+    if PUNCTURED_IMAGE in kinds:
+        cols[PUNCTURED_IMAGE] = ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)]
+        n[PUNCTURED_IMAGE] = len(cols[PUNCTURED_IMAGE])
+    else:
+        cols[D1] = power[defining_set(ctx, D1).elements]
+    dists = {kind: _distribution(w, n[kind]) for kind, w in _derived_weights(ctx, cols).items()}
     if PUNCTURED_IMAGE in dists:
         p = dists[PUNCTURED_IMAGE]
         d = ctx.n_units // p.n
-        full = WeightDistribution({d * w: c for w, c in p.counts.items()}, ctx.n_units, p.k,
-                                  d * p.d_min)
-    else:
-        c0, c1 = codes[D0], codes[D1]
-        k = ctx.m if ctx.m in (c0.k, c1.k) else _rank(ctx, np.concatenate((c0.phis, c1.phis)))
-        full = _distribution(weights[FULL_STAR], ctx.n_units, k)
-    return {kind: dists.get(kind, full) for kind in kinds}
+        dists[FULL_STAR] = WeightDistribution({d * w: c for w, c in p.counts.items()},
+                                              ctx.n_units, p.k, d * p.d_min)
+    return {kind: dists[kind] for kind in kinds}
 
 
 def generator_matrix(code: LinearCode) -> np.ndarray:

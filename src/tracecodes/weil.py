@@ -40,7 +40,8 @@ needs no case of its own.  Everything but b' = u*b (u = 1/c) depends on
 Q(e_i), the Gram rows and Tr(e_i) off the field, and gf2m.quadratic_form
 returns, from those ints alone, cols (the reductions of the e_i for the
 Gram matrix), t, Arf(Q') and dim W.  The closed kernels differ only in how
-they apply cols.
+they apply cols: weil_sum_closed reads its one D[v] off the log tables, m
+traces, and builds no dual-coordinate table.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumVa
     u, j, cols, t, scale = _regime(ctx, h, a)
     n, log, x0 = ctx.n_units, ctx.log_table, 0
     v = int(ctx.antilog_table[(int(log[u]) + int(log[b])) % n]) ^ t if b else t  # u*b + t
-    rhs = int(gf2m.dual_coordinates(ctx)[v])  # bit i of rhs is Tr(v * e_i)
+    e = 1 << np.arange(ctx.m, dtype=np.int64)  # bit i of rhs = D[v] is Tr(v * e_i)
+    rhs = int(ctx.trace_table[ctx.antilog_table[(log[v] + log[e]) % n]] @ e) if v else 0
     for k, col in enumerate(cols):  # x0 is the reduction of rhs, a solution if < 2^m
         if rhs >> k & 1:
             x0 ^= col

@@ -148,6 +148,24 @@ def test_weil_form_guard_is_an_error_line(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_sweep_kernel_guard_is_an_error_line(capsys, monkeypatch):
+    # a weight-0 count that is no power of two is no kernel: exit 1, no traceback
+    inner = gf2m.wht
+
+    def moved(v):
+        w = inner(v)
+        w[0] -= 2  # message 0 leaves weight 0
+        return w
+
+    monkeypatch.setattr(gf2m, "wht", moved)
+    rc = cli.run(["sweep", "--m-min", "3", "--m-max", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "no power of two" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_export_to_file(tmp_path, capsys):
     dest = tmp_path / "gen.txt"
     rc = cli.run(["export", "--m", "5", "--h", "1", "--variant", "d0",

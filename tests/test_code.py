@@ -254,19 +254,44 @@ def test_punctured_weights_scale_per_message():
         assert np.array_equal(wf, ((1 << h) + 1) * wp)
 
 
-def test_derived_distributions_equal_each_code_enumerated_alone():
+def _assert_derived_equal_alone(ctx):
     # two transforms per h against one weight_distribution per built code:
-    # counts, n, k and d_min, under two moduli per degree and at m = 16, 20
+    # counts, n, k and d_min; k from the kernel count against the column rank
+    for h in cases.divisors(ctx.m):
+        derived = code_mod.weight_distributions(ctx, h)
+        assert tuple(derived) == code_mod.variants(ctx.m, h), (ctx.m, h)
+        for kind, dist in derived.items():
+            alone = code_mod.weight_distribution(code_mod.make_code(ctx, h, kind))
+            assert dist == alone, (ctx.m, ctx.modulus, h, kind)
+
+
+def test_derived_distributions_equal_each_code_enumerated_alone():
+    # under two moduli per degree and at m = 16, 20
     fields = [(m, modulus) for m in range(3, 15)
               for modulus in (None, cases.largest_irreducible(m))] + [(16, None), (20, None)]
     for m, modulus in fields:
-        ctx = gf2m.build_field(m, modulus)
-        for h in cases.divisors(m):
-            derived = code_mod.weight_distributions(ctx, h)
-            assert tuple(derived) == code_mod.variants(m, h), (m, h)
-            for kind, dist in derived.items():
-                alone = code_mod.weight_distribution(code_mod.make_code(ctx, h, kind))
-                assert dist == alone, (m, ctx.modulus, h, kind)
+        _assert_derived_equal_alone(gf2m.build_field(m, modulus))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases.irreducible_modulus(12))
+def test_derived_distributions_equal_each_code_in_a_random_basis(modulus):
+    _assert_derived_equal_alone(gf2m.build_field(gf2m.poly_degree(modulus), modulus))
+
+
+def test_kernel_count_that_is_no_power_of_two_is_refused(monkeypatch):
+    # W[0] = n is message 0's weight 0; moved to weight 1, d0 at m = 5 has
+    # no message of weight 0 left, which no kernel allows
+    inner = gf2m.wht
+
+    def moved(v):
+        w = inner(v)
+        w[0] -= 2
+        return w
+
+    monkeypatch.setattr(gf2m, "wht", moved)
+    with pytest.raises(RuntimeError, match="no power of two"):
+        code_mod.weight_distributions(gf2m.build_field(5), 1)
 
 
 def test_derived_weights_equal_each_code_message_by_message():
@@ -275,13 +300,13 @@ def test_derived_weights_equal_each_code_message_by_message():
         for h in cases.divisors(m):
             codes = {kind: code_mod.make_code(ctx, h, kind) for kind in code_mod.variants(m, h)}
             derived = code_mod._derived_weights(
-                {kind: c for kind, c in codes.items() if kind != code_mod.FULL_STAR})
+                ctx, {kind: c.phis for kind, c in codes.items() if kind != code_mod.FULL_STAR})
             if code_mod.PUNCTURED_IMAGE in codes:  # the full weights are d times these
                 d = ctx.n_units // codes[code_mod.PUNCTURED_IMAGE].n
                 derived[code_mod.FULL_STAR] = d * derived[code_mod.PUNCTURED_IMAGE]
             assert derived.keys() == codes.keys(), (m, h)
             for kind, lc in codes.items():
-                assert np.array_equal(derived[kind], code_mod._weights(lc)), (m, h, kind)
+                assert np.array_equal(derived[kind], code_mod._weights(ctx, lc.phis)), (m, h, kind)
 
 
 def test_single_element_defining_set():

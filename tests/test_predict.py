@@ -341,6 +341,17 @@ def test_sweep_runs_two_walsh_transforms_per_h(monkeypatch):
     assert len(calls) == 10
 
 
+def test_sweep_builds_no_code(monkeypatch):
+    # every k is read off a kernel count, so no column rank and no code is built
+    def refuse(*args):
+        raise AssertionError("the sweep built a code")
+
+    for name in ("_rank", "build_code", "punctured_code"):
+        monkeypatch.setattr(code_mod, name, refuse)
+    assert len(predict.sweep(range(3, 15))) == 104
+    assert len(predict.sweep([20])) == 20
+
+
 def test_sweep_empty_range():
     assert predict.sweep([]) == []
 

@@ -327,6 +327,13 @@ def test_fields_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_one_closed_value_builds_no_dual_table():
+    # its one right-hand side D[v] comes from m traces, not a 2^m table
+    ctx = gf2m.build_field(12)
+    weil.weil_sum_closed(ctx, 3, 5, 7)
+    assert "dual" not in ctx._cache
+
+
 @settings(max_examples=100, deadline=None)
 @given(cases.irreducible_modulus(12), st.data())
 def test_closed_equals_direct_in_a_random_basis(modulus, data):
