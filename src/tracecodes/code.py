@@ -14,8 +14,7 @@ the inflated zero-weight count as they are.
 
 The columns phi(d) are gathered, in one pass over the defining set, from
 gf2m.power_map_table, which tabulates the GF(2)-quadratic map x -> x^(2^h+1)
-without a remainder or random gather over the field; the punctured columns
-are every d-th antilog entry, d = gcd(2^h+1, 2^m-1) (see defining_set).
+without a remainder or random gather over the field.
 
 A built code's k (LinearCode) is the GF(2) rank of its columns, read off
 a strided sample of about 8m columns first; a full-rank code reaches rank
@@ -32,14 +31,17 @@ in O(n + m*2^m) operations, so every m the field module admits is
 enumerated.  The transform runs in plain coordinates, where the weight of
 message x sits at B[x] for the dual-coordinate bijection B; the weight
 distribution is a histogram, so it needs no reindexing, and the counts need
-no column order.  weight_distribution transforms one built code and takes
-its k from the code.  weight_distributions builds no code: it transforms
-the d0 columns and the d1 or the punctured columns, and derives the other
-kinds' weights, because the transform is linear in the columns: as column
-multisets full = d0 + d1, and where the punctured code exists each of its
-columns occurs d times among the full code's.  It reads each k off the
+no column order.  weight_distribution transforms one built code;
+weight_distributions builds none.  On the cyclic group GF(2^m)^* the map
+x -> x^(2^h+1) is d-to-1 onto the subgroup <g^d>, d = gcd(2^h+1, 2^m-1),
+at every (m, h) (d = 1 where m/h is odd), so as column multisets
+d0 + d1 = full = d * image.  The transform is linear in the column counts,
+so it transforms d0 and the image, every d-th antilog entry, and takes
+wt_d1 = d * wt_image - wt_d0 and the full histogram as the image's with
+every weight scaled by d.  Every distribution reads its k off the
 histogram, since the 2^(m-k) messages of weight 0 are the kernel of
-x -> codeword; the tests hold that k against the column rank.
+x -> codeword, and a count that is no power of two is a RuntimeError; the
+tests hold that k against LinearCode.k, the column rank.
 """
 
 from __future__ import annotations
@@ -287,14 +289,13 @@ def _weights_by_message(code: LinearCode) -> np.ndarray:
     return _weights(code.ctx, code.phis)[gf2m.dual_coordinates(code.ctx)]
 
 
-def _distribution(weights: np.ndarray, n: int, k: int | None = None) -> WeightDistribution:
-    """The histogram of weights; k, where not given, from the kernel count."""
+def _distribution(weights: np.ndarray, n: int) -> WeightDistribution:
+    """The histogram of weights; k from the kernel, its 2^(m-k) messages of weight 0."""
     counts = np.bincount(weights)
-    if k is None:
-        zeros = int(counts[0])
-        if zeros & (zeros - 1) or not zeros:
-            raise RuntimeError(f"{zeros} messages of weight 0 is no power of two, so no kernel")
-        k = weights.size.bit_length() - zeros.bit_length()
+    zeros = int(counts[0])
+    if zeros & (zeros - 1) or not zeros:
+        raise RuntimeError(f"{zeros} messages of weight 0 is no power of two, so no kernel")
+    k = weights.size.bit_length() - zeros.bit_length()
     ws = np.flatnonzero(counts)
     table = dict(zip(ws.tolist(), counts[ws].tolist()))
     d_min = min((x for x in table if x > 0), default=0)
@@ -302,50 +303,39 @@ def _distribution(weights: np.ndarray, n: int, k: int | None = None) -> WeightDi
 
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact message-indexed weight counts by full enumeration; k is code.k.
+    """Exact message-indexed weight counts by full enumeration.
 
     The weights are counted as _weights indexes them, by B[x] rather than
     by x; B is a bijection of the field, so the histogram is the same.
     """
-    return _distribution(_weights(code.ctx, code.phis), code.n, code.k)
+    return _distribution(_weights(code.ctx, code.phis), code.n)
 
 
-def _derived_weights(ctx: gf2m.FieldCtx, cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The weights, as _weights indexes them, of d0 and d1 and of the full
-    code or the punctured image, from the columns of d0 and of d1 or the
-    punctured image: wt_full = wt_d0 + wt_d1 = d * wt_punct."""
-    w0 = _weights(ctx, cols[D0])
-    if PUNCTURED_IMAGE not in cols:
-        w1 = _weights(ctx, cols[D1])
-        return {D0: w0, D1: w1, FULL_STAR: w0 + w1}
-    wp = _weights(ctx, cols[PUNCTURED_IMAGE])
-    w1 = wp * (ctx.n_units // len(cols[PUNCTURED_IMAGE]))
+def _derived_weights(ctx: gf2m.FieldCtx, h: int) -> dict[str, np.ndarray]:
+    """The weights, as _weights indexes them, of d0, of d1 and of the image
+    <g^d>, from the transforms of d0 and the image alone: as column
+    multisets d0 + d1 = d * image, so wt_d1 = d * wt_image - wt_d0."""
+    d = gcd((1 << h) + 1, ctx.n_units)
+    w0 = _weights(ctx, gf2m.power_map_table(ctx, h)[defining_set(ctx, D0).elements])
+    wi = _weights(ctx, ctx.antilog_table[::d])
+    w1 = wi * d
     w1 -= w0
-    return {D0: w0, D1: w1, PUNCTURED_IMAGE: wp}
+    return {D0: w0, D1: w1, PUNCTURED_IMAGE: wi}
 
 
 def weight_distributions(ctx: gf2m.FieldCtx, h: int) -> dict[str, WeightDistribution]:
     """The distribution of every kind at h, keyed in variants(m, h) order,
-    from the columns of d0 and of d1 (m/h odd) or the punctured image; no
-    code is built and no rank is taken.  The full histogram is the punctured
-    one with every weight scaled by d where the punctured code exists.  A
-    weight-0 count that is no power of two is a RuntimeError.
+    from _derived_weights; no code is built and no rank is taken.  The full
+    histogram is the image's with every weight scaled by d, and the image's
+    own row is reported only where the punctured code exists.
     """
-    kinds = variants(ctx.m, h)
-    power = gf2m.power_map_table(ctx, h)
-    cols = {D0: power[defining_set(ctx, D0).elements]}
-    n = {D0: ctx.q // 2 - 1, D1: ctx.q // 2, FULL_STAR: ctx.n_units}
-    if PUNCTURED_IMAGE in kinds:
-        cols[PUNCTURED_IMAGE] = ctx.antilog_table[:: gcd((1 << h) + 1, ctx.n_units)]
-        n[PUNCTURED_IMAGE] = len(cols[PUNCTURED_IMAGE])
-    else:
-        cols[D1] = power[defining_set(ctx, D1).elements]
-    dists = {kind: _distribution(w, n[kind]) for kind, w in _derived_weights(ctx, cols).items()}
-    if PUNCTURED_IMAGE in dists:
-        p = dists[PUNCTURED_IMAGE]
-        d = ctx.n_units // p.n
-        dists[FULL_STAR] = WeightDistribution({d * w: c for w, c in p.counts.items()},
-                                              ctx.n_units, p.k, d * p.d_min)
+    kinds = variants(ctx.m, h)  # refuses a bad h before any table is built
+    d = gcd((1 << h) + 1, ctx.n_units)
+    n = {D0: ctx.q // 2 - 1, D1: ctx.q // 2, PUNCTURED_IMAGE: ctx.n_units // d}
+    dists = {kind: _distribution(w, n[kind]) for kind, w in _derived_weights(ctx, h).items()}
+    image = dists[PUNCTURED_IMAGE]
+    dists[FULL_STAR] = WeightDistribution({d * w: c for w, c in image.counts.items()},
+                                          ctx.n_units, image.k, d * image.d_min)
     return {kind: dists[kind] for kind in kinds}
 
 

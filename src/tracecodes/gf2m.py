@@ -109,8 +109,10 @@ def is_irreducible(p: int) -> bool:
     return p > 1 and irreducibility_witness(p) is None  # a negative int encodes no polynomial
 
 
+@functools.cache
 def smallest_irreducible(m: int) -> int:
-    """Smallest (by integer encoding) irreducible polynomial of degree m."""
+    """Smallest (by integer encoding) irreducible polynomial of degree m,
+    searched once per m."""
     for p in range(1 << m, 1 << (m + 1)):
         if irreducibility_witness(p) is None:
             return p

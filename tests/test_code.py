@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -238,9 +239,10 @@ def test_norm_collapse_m4_h2():
 def test_distribution_totals_and_zero_count():
     for m, h, kind in ((5, 1, code_mod.D0), (6, 2, code_mod.D1), (8, 4, code_mod.FULL_STAR)):
         ctx = gf2m.build_field(m)
-        _, dist = _dist(ctx, h, kind)
+        lc, dist = _dist(ctx, h, kind)
         assert dist.total == 1 << m
-        assert dist.counts[0] == 1 << (m - dist.k)
+        # dist.k is read off counts[0]; the column rank is the other route
+        assert dist.counts[0] == 1 << (m - lc.k)
         assert dist.nonzero == {w: c for w, c in dist.counts.items() if w}
 
 
@@ -256,19 +258,23 @@ def test_punctured_weights_scale_per_message():
 
 def _assert_derived_equal_alone(ctx):
     # two transforms per h against one weight_distribution per built code:
-    # counts, n, k and d_min; k from the kernel count against the column rank
+    # counts, n, k and d_min; both read k off the kernel count, which is
+    # held against the column rank
     for h in cases.divisors(ctx.m):
         derived = code_mod.weight_distributions(ctx, h)
         assert tuple(derived) == code_mod.variants(ctx.m, h), (ctx.m, h)
         for kind, dist in derived.items():
-            alone = code_mod.weight_distribution(code_mod.make_code(ctx, h, kind))
-            assert dist == alone, (ctx.m, ctx.modulus, h, kind)
+            lc = code_mod.make_code(ctx, h, kind)
+            assert dist == code_mod.weight_distribution(lc), (ctx.m, ctx.modulus, h, kind)
+            assert dist.k == lc.k, (ctx.m, ctx.modulus, h, kind)
 
 
 def test_derived_distributions_equal_each_code_enumerated_alone():
-    # under two moduli per degree and at m = 16, 20
-    fields = [(m, modulus) for m in range(3, 15)
-              for modulus in (None, cases.largest_irreducible(m))] + [(16, None), (20, None)]
+    # under two moduli per degree (m = 2 has one), and at m = 16, 20; at
+    # m = 2, d = 3 and the image is not reported
+    fields = [(2, None)] + [(m, modulus) for m in range(3, 15)
+                            for modulus in (None, cases.largest_irreducible(m))]
+    fields += [(16, None), (20, None)]
     for m, modulus in fields:
         _assert_derived_equal_alone(gf2m.build_field(m, modulus))
 
@@ -295,18 +301,40 @@ def test_kernel_count_that_is_no_power_of_two_is_refused(monkeypatch):
 
 
 def test_derived_weights_equal_each_code_message_by_message():
-    for m in range(3, 13):
+    # d0 and d1 equal their codes' weights; the full code's are d times the
+    # image's in every regime, the simplex code's where m/h is odd (d = 1),
+    # and the image's are the punctured code's where that code exists
+    for m in range(2, 13):
         ctx = gf2m.build_field(m)
         for h in cases.divisors(m):
-            codes = {kind: code_mod.make_code(ctx, h, kind) for kind in code_mod.variants(m, h)}
-            derived = code_mod._derived_weights(
-                ctx, {kind: c.phis for kind, c in codes.items() if kind != code_mod.FULL_STAR})
-            if code_mod.PUNCTURED_IMAGE in codes:  # the full weights are d times these
-                d = ctx.n_units // codes[code_mod.PUNCTURED_IMAGE].n
-                derived[code_mod.FULL_STAR] = d * derived[code_mod.PUNCTURED_IMAGE]
-            assert derived.keys() == codes.keys(), (m, h)
-            for kind, lc in codes.items():
-                assert np.array_equal(derived[kind], code_mod._weights(ctx, lc.phis)), (m, h, kind)
+            derived = code_mod._derived_weights(ctx, h)
+            image = derived.pop(code_mod.PUNCTURED_IMAGE)
+            d = gcd((1 << h) + 1, ctx.n_units)
+            derived[code_mod.FULL_STAR] = d * image
+            kinds = code_mod.variants(m, h)
+            if code_mod.PUNCTURED_IMAGE in kinds:
+                derived[code_mod.PUNCTURED_IMAGE] = image
+            assert tuple(derived) == kinds, (m, h)
+            for kind, w in derived.items():
+                lc = code_mod.make_code(ctx, h, kind)
+                assert np.array_equal(w, code_mod._weights(ctx, lc.phis)), (m, h, kind)
+
+
+def test_weight_distributions_refuse_a_bad_h_before_any_table(monkeypatch):
+    # power_map_table admits h = 0 and non-divisors, so the refusal must
+    # come first; it is the one variants raises
+    def refuse(*args):
+        raise AssertionError("a table was built for a refused h")
+
+    ctx = gf2m.build_field(6)
+    monkeypatch.setattr(gf2m, "power_map_table", refuse)
+    monkeypatch.setattr(gf2m, "wht", refuse)
+    for h in (0, 6, 4, 2.0):
+        with pytest.raises(ValueError) as refused:
+            code_mod.variants(6, h)
+        with pytest.raises(ValueError) as exc:
+            code_mod.weight_distributions(ctx, h)
+        assert str(exc.value) == str(refused.value), h
 
 
 def test_single_element_defining_set():

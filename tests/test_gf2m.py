@@ -131,6 +131,22 @@ def test_build_field_rejects_reducible_modulus():
         gf2m.build_field(4, 0b10101)
 
 
+def test_default_modulus_is_searched_once_per_degree(monkeypatch):
+    # the smallest irreducible polynomial depends on m alone; an explicit
+    # modulus is still checked for irreducibility on every call
+    first = gf2m.build_field(12)
+    calls = []
+    inner = gf2m.irreducibility_witness
+    monkeypatch.setattr(gf2m, "irreducibility_witness", lambda p: calls.append(p) or inner(p))
+    assert gf2m.build_field(12).modulus == first.modulus
+    assert calls == []
+    gf2m.build_field(12, first.modulus)
+    assert calls == [first.modulus]
+    with pytest.raises(ValueError, match="reducible"):
+        gf2m.build_field(4, 0b10101)
+    assert calls == [first.modulus, 0b10101]
+
+
 def test_build_field_rejects_wrong_degree_and_range():
     with pytest.raises(ValueError, match="degree"):
         gf2m.build_field(4, 0b1011)

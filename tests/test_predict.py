@@ -352,6 +352,20 @@ def test_sweep_builds_no_code(monkeypatch):
     assert len(predict.sweep([20])) == 20
 
 
+def test_sweep_gathers_no_d1_columns(monkeypatch):
+    # d1's weights are derived from d0's and the image's in every regime
+    inner = code_mod.defining_set
+
+    def no_d1(ctx, kind, h=0):
+        if kind == code_mod.D1:
+            raise AssertionError("the sweep gathered the d1 columns")
+        return inner(ctx, kind, h)
+
+    monkeypatch.setattr(code_mod, "defining_set", no_d1)
+    assert len(predict.sweep(range(2, 15))) == 107
+    assert len(predict.sweep([20])) == 20
+
+
 def test_sweep_empty_range():
     assert predict.sweep([]) == []
 
