@@ -255,8 +255,8 @@ def codeword_weight_formula(ctx: gf2m.FieldCtx, h: int, a: int, b: int) -> int:
     """Weight of the codeword of message b in the trace-a code, via Weil sums.
 
     wt = 2^(m-2) - (S_h(b, 0) + (-1)^a * S_h(b, 1)) / 4, with both sums taken
-    from the signed closed form, whose elimination weil caches per coset of
-    b, so the weight costs O(m^2) bit operations at every m.
+    from the signed closed form: after the one elimination weil caches per
+    coset of b, each call costs O(m) bit operations at every m.
     """
     if gf2m._as_int(a, "a") not in (0, 1):
         raise ValueError("a selects the trace-0 or trace-1 defining set; use 0 or 1")

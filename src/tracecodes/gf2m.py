@@ -563,7 +563,7 @@ def wht(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.dtype.kind not in "biu":
         raise ValueError(f"wht needs integer or bool input, got dtype {v.dtype}")
-    if v.size & (v.size - 1):
+    if not v.size or v.size & (v.size - 1):
         raise ValueError(f"wht needs a power-of-two length, got {v.size}")
     lo, hi = int(v.min(initial=0)), int(v.max(initial=0))
     small = v.size * max(-lo, hi) <= 1 << 24

@@ -3,7 +3,7 @@
 Two independent evaluation routes are kept side by side on purpose:
 
 * weil_sum_direct literally sums the character over the field;
-* weil_sum_closed evaluates the known closed form, in O(m^2) bit operations.
+* weil_sum_closed evaluates the known closed form off a per-coset cache.
 
 The direct route walks the field in log order: x = 0, then x = g^i for
 i < 2^m - 1.  The character bit of a*x^(2^h+1) is Tr(g^(log a + E[i])), with
@@ -29,19 +29,18 @@ kernel is the radical W.  On W, Q is linear and equals t*Tr for one t in
 (-1)^Arf(Q') * 2^((m + dim W)/2) (Lidl and Niederreiter, Finite Fields,
 ch. 6).  With v = b' + t, S_h(a, b) sums (-1)^(Q'(x) + Tr(v*x)), and Q' has
 Q's polar form B, so completing the square with an x0 such that
-B(x, x0) = Tr(v*x) for every x, that is
+B(x, x0) = Tr(v*x) for every x gives S_h(a, b) = scale * (-1)^Q'(x0), and
+S_h(a, b) = 0 when there is no x0.  Q'(x0) is the same at every solution,
+so any x0 serves, and b = 0 needs no case of its own.
 
-    gram * x0 = D[v], with bit i of D[v] = Tr(v*e_i) (gf2m.dual_coordinates),
-
-gives S_h(a, b) = scale * (-1)^Q'(x0), and S_h(a, b) = 0 when there is no
-x0.  Q'(x0) is the same at every solution, so any x0 serves, and b = 0
-needs no case of its own.  Everything but b' = u*b (u = 1/c) depends on
-(h, j) alone, so _coset computes it once per field, h and j: it reads
-Q(e_i), the Gram rows and Tr(e_i) off the field, and gf2m.quadratic_form
-returns, from those ints alone, cols (the reductions of the e_i for the
-Gram matrix), t, Arf(Q') and dim W.  The closed kernels differ only in how
-they apply cols: weil_sum_closed reads its one D[v] off the log tables, m
-traces, and builds no dual-coordinate table.
+Everything but b' = u*b (u = 1/c) depends on (h, j) alone, so _coset
+computes it once per field, h and j, from Q(e_i), the Gram rows and the
+m^2 traces Tr(e_k*e_i), read off the field's log, antilog and trace tables.
+gf2m.quadratic_form returns the Gram matrix's reductions of the e_i, t,
+Arf(Q') and dim W.  The right side, bit i = Tr(v*e_i), is linear in v, so
+x0 is too: _coset caches sol[k] = x0(e_k), the XOR of the reductions over
+the i with Tr(e_k*e_i) = 1 (2^m or more: no solution), and both closed
+kernels reach x0 only by applying sol to v = u*b + t.
 """
 
 from __future__ import annotations
@@ -100,14 +99,18 @@ def _character(ctx: gf2m.FieldCtx, h: int, j: int, t: int, x):
 
 
 def _coset(ctx: gf2m.FieldCtx, h: int, j: int):
-    """(cols, t, scale) for a' = g^j from gf2m.quadratic_form, fed with bit i
+    """(sol, t, scale) for a' = g^j from gf2m.quadratic_form, fed with bit i
     of diag = Q(e_i), bit k of gram[i] = Q(e_i + e_k) + Q(e_i) + Q(e_k) and
-    bit i of trace = Tr(e_i), for Q(x) = Tr(g^j * x^(2^h+1))."""
+    bit i of trace = Tr(e_i), for Q(x) = Tr(g^j * x^(2^h+1)); sol[k] is the
+    XOR of the reductions over the bits i of Tr(e_k * e_i), trace for k = 0."""
     e = 1 << np.arange(ctx.m, dtype=np.int64)
     quad = _character(ctx, h, j, 0, e)
     gram = ((_character(ctx, h, j, 0, e[:, None] ^ e) ^ quad[:, None] ^ quad) @ e).tolist()
-    cols, t, arf, dim = gf2m.quadratic_form(int(quad @ e), gram, int(ctx.trace_table[e] @ e))
-    return cols, t, (1 - 2 * arf) << ((ctx.m + dim) // 2)
+    logs = ctx.log_table[e]
+    traces = ctx.trace_table[ctx.antilog_table[(logs[:, None] + logs) % ctx.n_units]]
+    cols, t, arf, dim = gf2m.quadratic_form(int(quad @ e), gram, int(traces[0] @ e))
+    sol = np.bitwise_xor.reduce(traces * cols, axis=1).tolist()
+    return sol, t, (1 - 2 * arf) << ((ctx.m + dim) // 2)
 
 
 def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple:
@@ -124,14 +127,12 @@ def _regime(ctx: gf2m.FieldCtx, h: int, a: int) -> tuple:
 def weil_sum_closed(ctx: gf2m.FieldCtx, h: int, a: int, b: int = 0) -> WeilSumValue:
     """Closed-form S_h(a, b), signed in every regime; see the module docstring."""
     h, a, b = _validate_query(ctx, h, a, b)
-    u, j, cols, t, scale = _regime(ctx, h, a)
+    u, j, sol, t, scale = _regime(ctx, h, a)
     n, log, x0 = ctx.n_units, ctx.log_table, 0
     v = int(ctx.antilog_table[(int(log[u]) + int(log[b])) % n]) ^ t if b else t  # u*b + t
-    e = 1 << np.arange(ctx.m, dtype=np.int64)  # bit i of rhs = D[v] is Tr(v * e_i)
-    rhs = int(ctx.trace_table[ctx.antilog_table[(log[v] + log[e]) % n]] @ e) if v else 0
-    for k, col in enumerate(cols):  # x0 is the reduction of rhs, a solution if < 2^m
-        if rhs >> k & 1:
-            x0 ^= col
+    for k, s in enumerate(sol):  # x0(v), a solution if < 2^m
+        if v >> k & 1:
+            x0 ^= s
     return WeilSumValue(0 if x0 >= ctx.q else -scale if _character(ctx, h, j, t, x0) else scale)
 
 
@@ -166,24 +167,20 @@ def weil_sum_closed_all_b(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form values for every b: (values int64[q], exact bool[q]).
 
-    The same closed form as weil_sum_closed, for all b at once: the
-    right-hand side D[u*b + t] = D[u*b] + t*D[1] is GF(2)-linear in b up to
-    the constant t*D[1], so its reduction is tabulated from those of the m
-    images D[u*e_k] and of D[1], each the XOR of the coset's cols over its
-    set bits.  The solution x0(b) is then affine in b, so the character bit
-    b -> Tr(a'*x0(b)^(q+1) + t*x0(b)) is GF(2)-quadratic in b, and
-    gf2m.quadratic_table fills it from about 2^(m/2+1) values taken by the
-    log route.  Every entry is exact and signed, so exact is all True; the
-    benchmark reads the (values, exact) pair.
+    The same closed form as weil_sum_closed, for all b at once: the coset's
+    map sol is GF(2)-linear, so x0(b) = sol(u*b) + t*sol[0] is affine in b
+    and is tabulated by linear_table from the m images sol(u*e_k).  The
+    character bit b -> Tr(a'*x0(b)^(q+1) + t*x0(b)) is then GF(2)-quadratic
+    in b, and gf2m.quadratic_table fills it from about 2^(m/2+1) values
+    taken by the log route.  Every entry is exact and signed, so exact is
+    all True; the benchmark reads the (values, exact) pair.
     """
     h, a, _ = _validate_query(ctx, h, a, 0)
-    u, j, cols, t, scale = _regime(ctx, h, a)
+    u, j, sol, t, scale = _regime(ctx, h, a)
     ue = ctx.antilog_table[(ctx.log_table[u] + ctx.log_table[1 << np.arange(ctx.m)]) % ctx.n_units]
-    rhs = gf2m.dual_coordinates(ctx)[np.append(ue, 1)]  # D[u*e_k] for k < m, then D[1]
-    by_bit = rhs[:, None] >> np.arange(ctx.m) & 1  # the bits of each right side
-    reductions = np.bitwise_xor.reduce(by_bit * cols, axis=1)
-    reduced = gf2m.linear_table(reductions[:-1]) ^ reductions[-1] * t
+    by_bit = ue[:, None] >> np.arange(ctx.m) & 1  # the bits of each u*e_k
+    x0 = gf2m.linear_table(np.bitwise_xor.reduce(by_bit * sol, axis=1)) ^ t * sol[0]
     bits = gf2m.quadratic_table(
-        lambda bs: _character(ctx, h, j, t, reduced[bs] & (ctx.q - 1)), ctx.m, np.uint8)
-    values = np.where(bits, -scale, scale) * (reduced < ctx.q)
+        lambda bs: _character(ctx, h, j, t, x0[bs] & (ctx.q - 1)), ctx.m, np.uint8)
+    values = np.where(bits, -scale, scale) * (x0 < ctx.q)
     return values, np.ones(ctx.q, dtype=bool)

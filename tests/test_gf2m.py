@@ -470,13 +470,17 @@ def test_gram_kernel_is_the_radical_exhaustive(monkeypatch):
     2^h elements when m/h is odd, and for even m/h either 2^(2h) or only
     x = 0, by whether a is a (2^h+1)-th power.  Its solution sets of
     B(., x) = Tr(v .) equal brute force for one v per a.  Only for a = g^j,
-    j < d, is Q + t*Tr zero on the radical, so quadratic_form is not run."""
+    j < d, is Q + t*Tr zero on the radical, so quadratic_form is stubbed
+    elsewhere; at those a the real _coset's map sol gives, for every v, an
+    x0 below 2^m exactly when B(., x) = Tr(v .) has a solution, and x0 is
+    then one of them."""
     import math
     forms = []
+    real_form = gf2m.quadratic_form
 
     def capture(diag, gram, trace):
         forms.append(gram)
-        return [], 0, 0, 0
+        return [0] * len(gram), 0, 0, 0
 
     monkeypatch.setattr(gf2m, "quadratic_form", capture)
     for m in (4, 6):
@@ -504,6 +508,17 @@ def test_gram_kernel_is_the_radical_exhaustive(monkeypatch):
                 rhs = sum(int(tr_v[1 << i]) << i for i in range(m))
                 sols = _solutions(_solve(gram, rhs, m))
                 assert sols == {x for x in range(ctx.q) if np.array_equal(polar[x], tr_v)}
+                if int(ctx.log_table[a]) >= d:
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(gf2m, "quadratic_form", real_form)
+                    sol, _, _ = weil._coset(ctx, h, int(ctx.log_table[a]))
+                for v in range(ctx.q):
+                    tr_v = ctx.trace_table[oracles.mul_vec(ctx, v, xs)]
+                    sols = set(np.flatnonzero((polar == tr_v).all(axis=1)).tolist())
+                    x0 = _apply(sol, v)
+                    assert (x0 < ctx.q) == bool(sols), (m, h, a, v)
+                    assert x0 >= ctx.q or x0 in sols, (m, h, a, v)
 
 
 def _parities(m: int) -> np.ndarray:
@@ -719,8 +734,9 @@ def test_wht_against_literal_transform():
         counts = rng.integers(0, 50, size=1 << m)
         assert np.array_equal(gf2m.wht(counts), _literal_wht(counts))
         assert np.array_equal(oracles.wht(counts), _literal_wht(counts))
-    with pytest.raises(ValueError, match="power-of-two"):
-        gf2m.wht(np.ones(6, dtype=np.int64))
+    for size in (6, 0):  # 0 & (0 - 1) is 0, yet 0 is no power of two
+        with pytest.raises(ValueError, match="power-of-two"):
+            gf2m.wht(np.ones(size, dtype=np.int64))
     # the transform of [0.5, 0.25] is [0.75, 0.25], which int64 cannot hold
     for v in (np.array([0.5, 0.25]), np.ones(4, dtype=np.float32), np.ones(2, dtype=complex)):
         with pytest.raises(ValueError, match="integer or bool"):

@@ -164,7 +164,7 @@ def test_batch_direct_matches_scalar_direct_m20():
 def test_closed_equals_direct_all_b_m13_to_m20():
     # criterion 6 is exhaustive up to m = 12; above it, two a per divisor,
     # in the default basis and in that of the largest modulus, since the
-    # right sides go through the dual coordinates of the basis
+    # coset's map sol is composed from the traces Tr(e_k * e_i) of the basis
     rng = np.random.default_rng(1320)
     for m in range(13, 21):
         ctx = gf2m.build_field(m)
@@ -197,6 +197,39 @@ def test_direct_kernels_call_nothing_of_the_closed_route(monkeypatch):
         assert weil.weil_sum_direct_all_b(ctx, h, 5)[b] == want
     with pytest.raises(AssertionError, match="closed route"):
         weil.weil_sum_closed_all_b(ctx, 1, 5)
+
+
+def test_closed_kernels_call_nothing_of_the_direct_route(monkeypatch):
+    # the mirror of the test above: on fresh fields, with the direct route's
+    # tables and transform refusing, both closed kernels and the weight
+    # formula still give the values the direct route gave before the patch
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed route reached the direct route")
+
+    moduli = {8: None, 12: cases.largest_irreducible(12)}
+    expect = {}
+    for m, modulus in moduli.items():
+        ctx = gf2m.build_field(m, modulus)
+        for h in cases.divisors(m):
+            for a in (1, ctx.generator, 5, ctx.q - 1):
+                d = weil.weil_sum_direct_all_b(ctx, h, a)
+                expect[m, h, a] = d
+                assert all(weil.weil_sum_direct(ctx, h, a, b) == d[b] for b in (0, 1, 9))
+    for name in ("dual_coordinates", "exponent_table", "trace_of_antilog", "wht"):
+        monkeypatch.setattr(gf2m, name, refuse)
+    monkeypatch.setattr(weil, "_power_character", refuse)
+    fields = {m: gf2m.build_field(m, modulus) for m, modulus in moduli.items()}
+    for (m, h, a), d in expect.items():
+        ctx = fields[m]
+        v, ex = weil.weil_sum_closed_all_b(ctx, h, a)
+        assert ex.all() and np.array_equal(v, d), (m, h, a)
+        for b in (0, 1, 9, a, ctx.q - 1):
+            assert weil.weil_sum_closed(ctx, h, a, b).value == d[b], (m, h, a, b)
+        for s in (0, 1):  # wt = 2^(m-2) - (S(a, 0) + (-1)^s S(a, 1)) / 4
+            want = (1 << (m - 2)) - (int(d[0]) + (-1) ** s * int(d[1])) // 4
+            assert code_mod.codeword_weight_formula(ctx, h, s, a) == want, (m, h, s, a)
+    with pytest.raises(AssertionError, match="direct route"):
+        weil.weil_sum_direct(fields[8], 1, 5, 0)
 
 
 def test_even_regime_value_set():
@@ -318,8 +351,8 @@ def test_fields_are_freed_without_the_cycle_collector():
             for kind in code_mod.variants(6, h):
                 code_mod.weight_distribution(code_mod.make_code(ctx, h, kind))
         cosets = [v for key, v in ctx._cache.items() if key[0] == "coset"]
-        assert cosets and all(type(cols) is list for cols, _, _ in cosets)
-        assert all(type(x) is int for cols, t, scale in cosets for x in cols + [t, scale])
+        assert cosets and all(type(sol) is list and len(sol) == 6 for sol, _, _ in cosets)
+        assert all(type(x) is int for sol, t, scale in cosets for x in sol + [t, scale])
         freed = weakref.ref(ctx)
         del ctx
         assert freed() is None
@@ -328,9 +361,14 @@ def test_fields_are_freed_without_the_cycle_collector():
 
 
 def test_one_closed_value_builds_no_dual_table():
-    # its one right-hand side D[v] comes from m traces, not a 2^m table
+    # each closed kernel applies its coset's map sol to v = u*b + t, and the
+    # map is composed from the m^2 traces Tr(e_k * e_i): no 2^m table of
+    # dual coordinates is built, for one value or for every b
     ctx = gf2m.build_field(12)
     weil.weil_sum_closed(ctx, 3, 5, 7)
+    assert "dual" not in ctx._cache
+    ctx = gf2m.build_field(12)
+    weil.weil_sum_closed_all_b(ctx, 3, 5)
     assert "dual" not in ctx._cache
 
 
